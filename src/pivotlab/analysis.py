@@ -29,40 +29,6 @@ class EmbeddingSet:
     scope: str
 
 
-def _with_trace(ckpt: model.Checkpoint, tokens, vocab: corpus.Vocab,
-                max_new_tokens: int) -> list:
-    """Question tokens extended by the model's own greedy trace."""
-    cfg = evaluate.GenConfig(mode="greedy", max_new_tokens=max_new_tokens)
-    res = evaluate.generate(ckpt, tokens, cfg, vocab)
-    return list(tokens) + res.cot_segment
-
-
-def embed(ckpt: model.Checkpoint, items: list, layer: int, scope: str,
-          language: str = "", vocab: corpus.Vocab | None = None,
-          max_new_tokens: int = 192) -> EmbeddingSet:
-    """Mean token hidden state at `layer` for each (id, token sequence) item.
-
-    QUESTION_PLUS_COT appends the model's greedy-decoded reasoning trace to
-    each question before embedding, which requires a vocab.
-    """
-    if scope not in SCOPES:
-        raise AnalysisError(f"unknown scope {scope!r}")
-    if not 0 <= layer <= ckpt.config.n_layers:
-        raise AnalysisError(f"layer {layer} outside [0, {ckpt.config.n_layers}]")
-    vectors = []
-    for iid, tokens in items:
-        if len(tokens) == 0:
-            raise AnalysisError(f"item {iid}: empty token sequence")
-        seq = tokens
-        if scope == "QUESTION_PLUS_COT":
-            if vocab is None:
-                raise AnalysisError("QUESTION_PLUS_COT requires a vocab")
-            seq = _with_trace(ckpt, tokens, vocab, max_new_tokens)
-        trace = model.forward(ckpt, seq, need_cache=False)
-        vectors.append((iid, trace.hidden_states[layer][0].mean(axis=0)))
-    return EmbeddingSet(layer=layer, items=vectors, language=language, scope=scope)
-
-
 def retrieval_accuracy(target_set: EmbeddingSet, pivot_set: EmbeddingSet) -> dict:
     """Accuracy@1 of cosine nearest-neighbour retrieval, target -> pivot.
 
@@ -103,8 +69,15 @@ def _all_layer_embeddings(ckpt, items, scope, vocab, max_new_tokens):
 
     Trace generation (when the scope asks for it) is batched across items.
     """
+    if scope not in SCOPES:
+        raise AnalysisError(f"unknown scope {scope!r}")
+    for iid, tokens in items:
+        if len(tokens) == 0:
+            raise AnalysisError(f"item {iid}: empty token sequence")
     seqs = [list(t) for _, t in items]
     if scope == "QUESTION_PLUS_COT":
+        if vocab is None:
+            raise AnalysisError("QUESTION_PLUS_COT requires a vocab")
         cfg = evaluate.GenConfig(mode="greedy", max_new_tokens=max_new_tokens)
         results = evaluate.generate_batch(ckpt, seqs, [iid for iid, _ in items], cfg, vocab)
         seqs = [s + r.cot_segment for s, r in zip(seqs, results)]
@@ -116,11 +89,23 @@ def _all_layer_embeddings(ckpt, items, scope, vocab, max_new_tokens):
     return per_layer
 
 
+def embed(ckpt: model.Checkpoint, items: list, layer: int, scope: str,
+          language: str = "", vocab: corpus.Vocab | None = None,
+          max_new_tokens: int = 192) -> EmbeddingSet:
+    """Mean token hidden state at `layer` for each (id, token sequence) item.
+
+    QUESTION_PLUS_COT appends the model's greedy-decoded reasoning trace to
+    each question before embedding, which requires a vocab.
+    """
+    if not 0 <= layer <= ckpt.config.n_layers:
+        raise AnalysisError(f"layer {layer} outside [0, {ckpt.config.n_layers}]")
+    vectors = _all_layer_embeddings(ckpt, items, scope, vocab, max_new_tokens)[layer]
+    return EmbeddingSet(layer=layer, items=vectors, language=language, scope=scope)
+
+
 def retrieval_report(ckpt: model.Checkpoint, paired_items: list, scope: str,
                      vocab: corpus.Vocab, max_new_tokens: int = 192) -> dict:
     """Per-layer retrieval accuracy for (id, target tokens, pivot tokens) pairs."""
-    if scope not in SCOPES:
-        raise AnalysisError(f"unknown scope {scope!r}")
     target_items = [(iid, t) for iid, t, _ in paired_items]
     pivot_items = [(iid, p) for iid, _, p in paired_items]
     t_layers = _all_layer_embeddings(ckpt, target_items, scope, vocab, max_new_tokens)

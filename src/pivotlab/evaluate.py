@@ -93,36 +93,14 @@ def _segment(prompt, generated, terminated_eos: bool, vocab: corpus.Vocab) -> Ge
                             cot_segment=cot, answer_segment=answer, terminated=terminated)
 
 
-def generate(ckpt: model.Checkpoint, prompt, cfg: GenConfig, vocab: corpus.Vocab,
-             rng_seed: int | None = None) -> GenerationResult:
-    """Autoregressive decode of a single prompt with its own RNG stream."""
-    cfg.validate()
-    prompt = list(prompt)
-    if len(prompt) >= ckpt.config.max_context:
-        raise EvalError("prompt does not fit the model context")
-    rng = np.random.default_rng(cfg.seed if rng_seed is None else rng_seed)
-    seq = list(prompt)
-    generated = []
-    hit_eos = False
-    for _ in range(cfg.max_new_tokens):
-        if len(seq) >= ckpt.config.max_context:
-            break
-        trace = model.forward(ckpt, seq, need_cache=False)
-        tok = _pick(trace.logits[0, -1], cfg, rng)
-        generated.append(tok)
-        seq.append(tok)
-        if tok == vocab.eos:
-            hit_eos = True
-            break
-    return _segment(prompt, generated, hit_eos, vocab)
-
-
 def generate_batch(ckpt: model.Checkpoint, prompts: list, ids: list, cfg: GenConfig,
                    vocab: corpus.Vocab) -> list:
-    """Decode many prompts, grouped by prompt length for batched forwards.
+    """Decode many prompts with a key/value cache, batched by prompt length.
 
-    Each item draws from its own seeded RNG stream, so results are identical
-    to one-at-a-time generation regardless of grouping.
+    Each length group runs one prefill forward over its prompts, then feeds
+    one token per row and step; rows that reached EOS are fed pads. Each item
+    draws from its own seeded RNG stream, so results do not depend on how the
+    prompts are grouped.
     """
     cfg.validate()
     results = [None] * len(prompts)
@@ -132,28 +110,32 @@ def generate_batch(ckpt: model.Checkpoint, prompts: list, ids: list, cfg: GenCon
     for plen, idxs in sorted(by_len.items()):
         if plen >= ckpt.config.max_context:
             raise EvalError("prompt does not fit the model context")
-        seqs = [list(prompts[i]) for i in idxs]
+        feed = np.asarray([prompts[i] for i in idxs], dtype=np.int64)
+        kv = []
         rngs = [np.random.default_rng(item_seed(cfg.seed, ids[i])) for i in idxs]
         gens = [[] for _ in idxs]
         done = [False] * len(idxs)
-        hit_eos = [False] * len(idxs)
-        for _ in range(cfg.max_new_tokens):
-            if all(done) or len(seqs[0]) >= ckpt.config.max_context:
+        for step in range(cfg.max_new_tokens):
+            if all(done) or plen + step >= ckpt.config.max_context:
                 break
-            trace = model.forward(ckpt, np.asarray(seqs, dtype=np.int64), need_cache=False)
+            logits = model.forward(ckpt, feed, need_cache=False, kv=kv).logits[:, -1]
+            nxt = [vocab.pad] * len(idxs)
             for j in range(len(idxs)):
                 if done[j]:
-                    seqs[j].append(vocab.pad)
                     continue
-                tok = _pick(trace.logits[j, -1], cfg, rngs[j])
-                gens[j].append(tok)
-                seqs[j].append(tok)
-                if tok == vocab.eos:
-                    done[j] = True
-                    hit_eos[j] = True
+                nxt[j] = _pick(logits[j], cfg, rngs[j])
+                gens[j].append(nxt[j])
+                done[j] = nxt[j] == vocab.eos
+            feed = np.asarray(nxt, dtype=np.int64)[:, None]
         for j, idx in enumerate(idxs):
-            results[idx] = _segment(prompts[idx], gens[j], hit_eos[j], vocab)
+            results[idx] = _segment(prompts[idx], gens[j], done[j], vocab)
     return results
+
+
+def generate(ckpt: model.Checkpoint, prompt, cfg: GenConfig,
+             vocab: corpus.Vocab) -> GenerationResult:
+    """One prompt through `generate_batch`."""
+    return generate_batch(ckpt, [prompt], [""], cfg, vocab)[0]
 
 
 def extract_answer(result: GenerationResult, lang: corpus.Language, vocab: corpus.Vocab):

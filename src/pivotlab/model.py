@@ -204,8 +204,16 @@ def _softmax(x, axis=-1):
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def forward(ckpt: Checkpoint, tokens, need_cache: bool = True) -> ForwardTrace:
-    """Causal forward pass. Accepts a single id sequence or a (B, T) batch."""
+def forward(ckpt: Checkpoint, tokens, need_cache: bool = True, kv: list | None = None) -> ForwardTrace:
+    """Causal forward pass. Accepts a single id sequence or a (B, T) batch.
+
+    `kv` turns on incremental decoding: a per-layer list of (k, v) arrays of
+    shape (B, n_heads, t0, head_dim) for positions 0..t0-1 (an empty list for
+    t0 = 0). The tokens are then positions t0..t0+T-1, attend to the cached
+    prefix, and their keys and values are appended to `kv` in place; the
+    trace covers the new positions only. Backward cannot run through a cached
+    prefix, so `kv` requires need_cache=False.
+    """
     cfg = ckpt.config
     tok = np.asarray(tokens, dtype=np.int64)
     squeeze = tok.ndim == 1
@@ -216,8 +224,11 @@ def forward(ckpt: Checkpoint, tokens, need_cache: bool = True) -> ForwardTrace:
     b, t = tok.shape
     if t == 0:
         raise ModelError("empty input sequence")
-    if t > cfg.max_context:
-        raise ModelError(f"sequence length {t} exceeds max_context {cfg.max_context}")
+    if kv is not None and need_cache:
+        raise ModelError("a key/value cache requires need_cache=False")
+    t0 = kv[0][0].shape[2] if kv else 0
+    if t0 + t > cfg.max_context:
+        raise ModelError(f"sequence length {t0 + t} exceeds max_context {cfg.max_context}")
     if tok.min() < 0 or tok.max() >= cfg.vocab_size:
         raise ModelError("token id outside vocabulary")
 
@@ -225,9 +236,9 @@ def forward(ckpt: Checkpoint, tokens, need_cache: bool = True) -> ForwardTrace:
     dt = cfg.np_dtype()
     scale = dt(cfg.head_dim ** -0.5)
     neg = -np.inf
-    causal = np.triu(np.full((t, t), neg, dtype=dt), k=1)
+    causal = np.triu(np.full((t, t0 + t), neg, dtype=dt), k=t0 + 1)
 
-    h = p["emb"][tok] + p["pos"][:t][None, :, :]
+    h = p["emb"][tok] + p["pos"][t0:t0 + t][None, :, :]
     hidden = [h]
     caches = []
     for i in range(cfg.n_layers):
@@ -236,6 +247,13 @@ def forward(ckpt: Checkpoint, tokens, need_cache: bool = True) -> ForwardTrace:
         q = _split_heads(a @ p[lp + "att_q"], cfg.n_heads)
         k = _split_heads(a @ p[lp + "att_k"], cfg.n_heads)
         v = _split_heads(a @ p[lp + "att_v"], cfg.n_heads)
+        if kv is not None:
+            if i < len(kv):
+                k = np.concatenate([kv[i][0], k], axis=2)
+                v = np.concatenate([kv[i][1], v], axis=2)
+                kv[i] = (k, v)
+            else:
+                kv.append((k, v))
         s = q @ k.transpose(0, 1, 3, 2) * scale + causal
         att = _softmax(s)
         ctx = _merge_heads(att @ v)

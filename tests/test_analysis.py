@@ -5,6 +5,8 @@ import pytest
 
 from pivotlab import analysis, corpus, model
 
+import oracles
+
 
 def paired_items(vocab, languages, n=6, seed=0):
     """(id, target question tokens, pivot question tokens) for shared problems."""
@@ -39,6 +41,11 @@ class TestEmbed:
         with pytest.raises(analysis.AnalysisError):
             analysis.embed(tiny_ckpt, [("a", [1])], 0, "WHOLE_SEQUENCE")
 
+    def test_empty_item_rejected(self, tiny_ckpt, vocab):
+        for scope in analysis.SCOPES:
+            with pytest.raises(analysis.AnalysisError, match="empty token sequence"):
+                analysis.embed(tiny_ckpt, [("a", [])], 0, scope, vocab=vocab)
+
     def test_question_plus_cot_requires_vocab(self, tiny_ckpt):
         with pytest.raises(analysis.AnalysisError):
             analysis.embed(tiny_ckpt, [("a", [1, 2])], 0, "QUESTION_PLUS_COT")
@@ -51,6 +58,19 @@ class TestEmbed:
         # the greedy trace of an untrained model is almost surely non-empty,
         # so the pooled vector changes
         assert not np.allclose(plain.items[0][1], with_cot.items[0][1])
+
+    def test_matches_oracle(self, tiny_ckpt, tiny_config, vocab, languages):
+        """Batched, cached embed agrees with the one-item uncached oracle."""
+        items = [(iid, t) for iid, t, _ in paired_items(vocab, languages, n=4, seed=5)]
+        for layer in range(tiny_config.n_layers + 1):
+            for scope in analysis.SCOPES:
+                got = analysis.embed(tiny_ckpt, items, layer, scope, vocab=vocab,
+                                     max_new_tokens=12)
+                want = oracles.embed(tiny_ckpt, items, layer, scope, vocab=vocab,
+                                     max_new_tokens=12)
+                for (gi, gv), (wi, wv) in zip(got.items, want.items):
+                    assert gi == wi
+                    assert np.allclose(gv, wv, rtol=0, atol=1e-10)
 
 
 class TestRetrievalAccuracy:
@@ -107,15 +127,15 @@ class TestRetrievalReport:
         assert all(0.0 <= a <= 1.0 for a in rep["per_layer_accuracy"])
 
     def test_matches_per_layer_embed_path(self, tiny_ckpt, tiny_config, vocab, languages):
-        """The batched all-layer path agrees with independent embed() calls."""
+        """The batched all-layer path agrees with the uncached one-item oracle."""
         pairs = paired_items(vocab, languages, n=4, seed=3)
         rep = analysis.retrieval_report(tiny_ckpt, pairs, "QUESTION_PLUS_COT", vocab,
                                         max_new_tokens=16)
         for layer in range(tiny_config.n_layers + 1):
-            t = analysis.embed(tiny_ckpt, [(i, tt) for i, tt, _ in pairs], layer,
-                               "QUESTION_PLUS_COT", vocab=vocab, max_new_tokens=16)
-            p = analysis.embed(tiny_ckpt, [(i, pp) for i, _, pp in pairs], layer,
-                               "QUESTION_PLUS_COT", vocab=vocab, max_new_tokens=16)
+            t = oracles.embed(tiny_ckpt, [(i, tt) for i, tt, _ in pairs], layer,
+                              "QUESTION_PLUS_COT", vocab=vocab, max_new_tokens=16)
+            p = oracles.embed(tiny_ckpt, [(i, pp) for i, _, pp in pairs], layer,
+                              "QUESTION_PLUS_COT", vocab=vocab, max_new_tokens=16)
             assert rep["per_layer_accuracy"][layer] == \
                 analysis.retrieval_accuracy(t, p)["accuracy"]
 

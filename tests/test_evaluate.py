@@ -6,6 +6,8 @@ import pytest
 
 from pivotlab import corpus, evaluate, model
 
+import oracles
+
 
 class TestCandidateSet:
     def test_nucleus_cut_on_known_distribution(self):
@@ -89,48 +91,83 @@ class TestSegmentation:
         assert res.answer_segment == [6]
 
 
+def assert_matches_oracle(ckpt, prompts, cfg, vocab):
+    """generate_batch agrees item by item with the uncached one-prompt oracle."""
+    ids = [f"x-{k}" for k in range(len(prompts))]
+    batched = evaluate.generate_batch(ckpt, prompts, ids, cfg, vocab)
+    for prompt, item_id, got in zip(prompts, ids, batched):
+        solo = oracles.generate(ckpt, prompt, cfg, vocab,
+                                rng_seed=evaluate.item_seed(cfg.seed, item_id))
+        assert got.generated == solo.generated
+        assert got.terminated == solo.terminated
+    return batched
+
+
 class TestGenerate:
     def test_deterministic_per_seed(self, tiny_ckpt, vocab):
         cfg = evaluate.GenConfig(mode="sample", seed=7, max_new_tokens=12)
-        a = evaluate.generate(tiny_ckpt, [vocab.bos, 5, 6], cfg, vocab, rng_seed=123)
-        b = evaluate.generate(tiny_ckpt, [vocab.bos, 5, 6], cfg, vocab, rng_seed=123)
-        assert a.generated == b.generated
+        prompts = [[vocab.bos, 5, 6], [vocab.bos, 2, 6], [vocab.bos, 9]]
+        a = evaluate.generate_batch(tiny_ckpt, prompts, ["a", "b", "c"], cfg, vocab)
+        b = evaluate.generate_batch(tiny_ckpt, prompts, ["a", "b", "c"], cfg, vocab)
+        assert [r.generated for r in a] == [r.generated for r in b]
 
     def test_greedy_ignores_seed(self, tiny_ckpt, vocab):
         cfg1 = evaluate.GenConfig(mode="greedy", seed=1, max_new_tokens=10)
         cfg2 = evaluate.GenConfig(mode="greedy", seed=2, max_new_tokens=10)
-        a = evaluate.generate(tiny_ckpt, [vocab.bos, 5], cfg1, vocab)
-        b = evaluate.generate(tiny_ckpt, [vocab.bos, 5], cfg2, vocab)
-        assert a.generated == b.generated
+        prompts = [[vocab.bos, 5], [vocab.bos, 7], [vocab.bos, 5, 7]]
+        a = evaluate.generate_batch(tiny_ckpt, prompts, ["a", "b", "c"], cfg1, vocab)
+        b = evaluate.generate_batch(tiny_ckpt, prompts, ["a", "b", "c"], cfg2, vocab)
+        assert [r.generated for r in a] == [r.generated for r in b]
 
     def test_respects_token_budget(self, tiny_ckpt, vocab):
         cfg = evaluate.GenConfig(mode="greedy", max_new_tokens=5)
-        res = evaluate.generate(tiny_ckpt, [vocab.bos, 3], cfg, vocab)
-        assert len(res.generated) <= 5
+        prompts = [[vocab.bos, 3], [vocab.bos, 4], [vocab.bos, 4, 4]]
+        for res in evaluate.generate_batch(tiny_ckpt, prompts, ["a", "b", "c"], cfg, vocab):
+            assert len(res.generated) <= 5
 
     def test_stops_at_context_limit(self, tiny_config, vocab):
         ckpt = model.init(tiny_config)
         cfg = evaluate.GenConfig(mode="greedy", max_new_tokens=10_000)
-        res = evaluate.generate(ckpt, [vocab.bos, 3], cfg, vocab)
-        assert len(res.prompt) + len(res.generated) <= tiny_config.max_context
+        limit = tiny_config.max_context
+        prompts = [[vocab.bos, 3], [vocab.bos, 4], [vocab.bos] + [4] * (limit - 2)]
+        results = evaluate.generate_batch(ckpt, prompts, ["a", "b", "c"], cfg, vocab)
+        for res in results:
+            assert len(res.prompt) + len(res.generated) <= limit
+        # The longest prompt leaves room for exactly one token, and the cached
+        # forward is never asked for a position past the context.
+        assert len(results[2].generated) == 1
 
     def test_prompt_too_long_rejected(self, tiny_config, vocab):
         ckpt = model.init(tiny_config)
         cfg = evaluate.GenConfig(mode="greedy")
         with pytest.raises(evaluate.EvalError):
-            evaluate.generate(ckpt, [3] * tiny_config.max_context, cfg, vocab)
+            evaluate.generate_batch(ckpt, [[3] * tiny_config.max_context], ["a"], cfg, vocab)
 
     def test_batch_matches_single(self, tiny_ckpt, vocab):
-        """Batched decode is item-for-item identical to one-at-a-time decode."""
-        cfg = evaluate.GenConfig(mode="sample", seed=11, max_new_tokens=16)
-        prompts = [[vocab.bos, 4, 9], [vocab.bos, 2], [vocab.bos, 4, 9, 1, 3]]
-        ids = ["x-1", "x-2", "x-3"]
-        batched = evaluate.generate_batch(tiny_ckpt, prompts, ids, cfg, vocab)
-        for prompt, item_id, got in zip(prompts, ids, batched):
-            solo = evaluate.generate(tiny_ckpt, prompt, cfg, vocab,
-                                     rng_seed=evaluate.item_seed(cfg.seed, item_id))
-            assert got.generated == solo.generated
-            assert got.terminated == solo.terminated
+        """Batched cached decode is item-for-item identical to the uncached oracle."""
+        equal = [[vocab.bos, 4, 9], [vocab.bos, 5, 9], [vocab.bos, 6, 9], [vocab.bos, 7, 2]]
+        mixed = [[vocab.bos, 4, 9], [vocab.bos, 2], [vocab.bos, 4, 9, 1, 3],
+                 [vocab.bos, 6], [vocab.bos, 6, 9], [vocab.bos, 8, 8, 1, 3]]
+        for mode in ("greedy", "sample"):
+            cfg = evaluate.GenConfig(mode=mode, seed=11, max_new_tokens=16)
+            for prompts in (equal, mixed):
+                assert_matches_oracle(tiny_ckpt, prompts, cfg, vocab)
+
+    def test_batch_matches_single_after_early_eos(self, tiny_ckpt, vocab):
+        """Rows that end early are fed pads without changing the rows that go on."""
+        ckpt = tiny_ckpt.copy()
+        # Swap the head columns of EOS and a token this model emits often, so
+        # that some rows end early.
+        head = ckpt.params["head"]
+        head[:, [vocab.eos, 41]] = head[:, [41, vocab.eos]]
+        prompts = [[vocab.bos, 4, 9], [vocab.bos, 5, 9], [vocab.bos, 6, 9], [vocab.bos, 7, 2],
+                   [vocab.bos, 2, 2], [vocab.bos, 8, 1]]
+        for mode in ("greedy", "sample"):
+            cfg = evaluate.GenConfig(mode=mode, seed=11, max_new_tokens=16)
+            results = assert_matches_oracle(ckpt, prompts, cfg, vocab)
+            lengths = [len(r.generated) for r in results]
+            early = [n for r, n in zip(results, lengths) if r.generated[-1] == vocab.eos]
+            assert early and min(early) < max(lengths), (mode, lengths)
 
     def test_item_seed_stable(self):
         assert evaluate.item_seed(3, "a-001") == evaluate.item_seed(3, "a-001")

@@ -154,6 +154,69 @@ class TestForward:
         assert np.array_equal(a, b)
 
 
+def incremental_forward(ckpt, tokens, chunks):
+    """Run a (B, T) batch through a key/value cache in chunks of the given sizes.
+
+    Returns logits and hidden states concatenated over time, as full-forward
+    shaped arrays.
+    """
+    kv, start, traces = [], 0, []
+    for n in chunks:
+        traces.append(model.forward(ckpt, tokens[:, start:start + n], need_cache=False, kv=kv))
+        start += n
+    assert start == tokens.shape[1]
+    assert len(kv) == ckpt.config.n_layers
+    assert all(k.shape[2] == v.shape[2] == start for k, v in kv)
+    logits = np.concatenate([t.logits for t in traces], axis=1)
+    hidden = [np.concatenate([t.hidden_states[i] for t in traces], axis=1)
+              for i in range(ckpt.config.n_layers + 1)]
+    return logits, hidden
+
+
+class TestKVCache:
+    # prefill, single tokens, a multi-token chunk on a non-empty cache, singles
+    CHUNKS = (5, 1, 1, 4, 1, 1)
+
+    def check_matches_full(self, ckpt, batch_sizes, tol):
+        rng = np.random.default_rng(13)
+        t = sum(self.CHUNKS)
+        for b in batch_sizes:
+            tokens = rng.integers(0, ckpt.config.vocab_size, size=(b, t))
+            full = model.forward(ckpt, tokens, need_cache=False)
+            logits, hidden = incremental_forward(ckpt, tokens, self.CHUNKS)
+            assert np.max(np.abs(logits - full.logits)) <= tol
+            assert len(hidden) == len(full.hidden_states)
+            for got, want in zip(hidden, full.hidden_states):
+                assert np.max(np.abs(got - want)) <= tol
+
+    def test_incremental_matches_full_float64(self, tiny_ckpt):
+        self.check_matches_full(tiny_ckpt, (1, 3), 1e-10)
+
+    def test_incremental_matches_full_default_float32(self, vocab):
+        ckpt = model.init(model.ModelConfig(vocab_size=len(vocab), rng_seed=4))
+        assert ckpt.config.dtype == "float32" and ckpt.config.d_model == 64
+        self.check_matches_full(ckpt, (1, 4), 1e-5)
+
+    def test_cache_past_context_rejected(self, tiny_ckpt, tiny_config):
+        n = tiny_config.max_context
+        kv = []
+        model.forward(tiny_ckpt, [[1] * (n - 2)], need_cache=False, kv=kv)
+        with pytest.raises(model.ModelError):
+            model.forward(tiny_ckpt, [[2, 3, 4]], need_cache=False, kv=kv)
+        model.forward(tiny_ckpt, [[2, 3]], need_cache=False, kv=kv)
+        assert kv[0][0].shape[2] == n
+        with pytest.raises(model.ModelError):
+            model.forward(tiny_ckpt, [[2]], need_cache=False, kv=kv)
+
+    def test_cache_with_need_cache_rejected(self, tiny_ckpt):
+        with pytest.raises(model.ModelError):
+            model.forward(tiny_ckpt, [1, 2, 3], kv=[])
+        kv = []
+        model.forward(tiny_ckpt, [1, 2, 3], need_cache=False, kv=kv)
+        with pytest.raises(model.ModelError):
+            model.forward(tiny_ckpt, [4], need_cache=True, kv=kv)
+
+
 class TestBackward:
     def test_finite_difference_all_paths(self, tiny_config):
         ckpt = model.init(tiny_config)
