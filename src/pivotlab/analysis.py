@@ -1,8 +1,8 @@
 """Checkpoint and representation analyses.
 
-Three probes over trained models: layer-wise cross-lingual retrieval
-accuracy of mean-pooled hidden states, per-tensor mean-absolute-difference
-maps between checkpoints, and layer-swap checkpoint surgery.
+Two probes over trained models: layer-wise cross-lingual retrieval
+accuracy of mean-pooled hidden states, and per-tensor mean-absolute-difference
+maps between checkpoints.
 """
 
 from __future__ import annotations
@@ -173,17 +173,3 @@ def delta_ratio(report_a: DeltaReport, report_b: DeltaReport) -> float:
     if report_b.grand_total == 0.0:
         raise AnalysisError("cannot form a ratio against an all-zero delta map")
     return report_a.grand_total / report_b.grand_total
-
-
-def layer_swap(base: model.Checkpoint, donor: model.Checkpoint, layers) -> model.Checkpoint:
-    """New checkpoint taking whole transformer blocks from the donor."""
-    if base.config != donor.config:
-        raise AnalysisError("checkpoint configs differ")
-    out = base.copy()
-    for li in layers:
-        if not 0 <= li < base.config.n_layers:
-            raise AnalysisError(f"layer index {li} out of range")
-        for role in model.LAYER_ROLES:
-            path = f"L{li}.{role}"
-            out.params[path] = donor.params[path].copy()
-    return out

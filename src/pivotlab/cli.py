@@ -139,6 +139,26 @@ def _write_sidecar(path: str, cfg: dict) -> None:
         fh.write("\n")
 
 
+def _write_lines(lines, path: str, cfg: dict) -> None:
+    """Text artifact of one line per item (JSONL records, CSV rows)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for line in lines:
+            fh.write(line + "\n")
+    _write_sidecar(path, cfg)
+
+
+def _save_training(ckpt, rows, ckpt_path: str, log_path: str, cfg: dict) -> None:
+    model.save(ckpt, ckpt_path)
+    _write_sidecar(ckpt_path, cfg)
+    train.write_log_csv(rows, log_path)
+    _write_sidecar(log_path, cfg)
+
+
+def _save_eval(report: dict, records: list, rec_path: str, report_path: str, cfg: dict) -> None:
+    _write_lines((json.dumps(r, sort_keys=True) for r in records), rec_path, cfg)
+    write_json(report, report_path, cfg)
+
+
 def _outdir(path: str) -> str:
     root = os.environ.get(OUTPUT_ROOT_ENV)
     if root and not os.path.isabs(path):
@@ -153,7 +173,7 @@ def _require(path: str) -> str:
     return path
 
 
-def _setup(cfg: dict):
+def _setup():
     languages = corpus.default_languages()
     vocab = corpus.build_vocab(languages)
     return languages, vocab
@@ -191,7 +211,7 @@ def _build(cfg: dict, vocab, languages, n: int, mix: float, regime: str, seed: i
 
 def cmd_gen_data(args) -> int:
     cfg = load_config(args.config, args.seed)
-    languages, vocab = _setup(cfg)
+    languages, vocab = _setup()
     out = _outdir(args.out)
     c = cfg["corpus"]
     samples = _build(cfg, vocab, languages, c["n_target"], c["mix_ratio"],
@@ -218,60 +238,44 @@ def _load_dataset(path: str, vocab) -> list:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config, args.seed)
-    languages, vocab = _setup(cfg)
+    languages, vocab = _setup()
     out = _outdir(args.out)
     dataset = _load_dataset(args.data, vocab)
     ckpt = model.init(_model_config(cfg, vocab, cfg["seed"]))
     tcfg = _train_config(cfg, cfg["seed"])
-    try:
-        ckpt, rows = train.train(dataset, ckpt, tcfg, vocab, checkpoint_dir=out)
-    except train.TrainError as exc:
-        code = EXIT_OVER_LENGTH if "max_context" in str(exc) else EXIT_BAD_DATA
-        raise CliError(str(exc), code)
+    ckpt, rows = train.train(dataset, ckpt, tcfg, vocab, checkpoint_dir=out)
     ckpt_path = os.path.join(out, "final.ckpt")
-    model.save(ckpt, ckpt_path)
-    _write_sidecar(ckpt_path, cfg)
-    log_path = os.path.join(out, "train_log.csv")
-    train.write_log_csv(rows, log_path)
-    _write_sidecar(log_path, cfg)
+    _save_training(ckpt, rows, ckpt_path, os.path.join(out, "train_log.csv"), cfg)
     print(f"trained {len(rows)} steps; checkpoint at {ckpt_path}")
     return EXIT_OK
 
 
-def _expected_cot_lang(regime: str, languages) -> corpus.Language:
-    pivot, target = languages
-    return target if regime == "NATIVE" else pivot
-
-
 def cmd_eval(args) -> int:
     cfg = load_config(args.config, args.seed)
-    languages, vocab = _setup(cfg)
+    languages, vocab = _setup()
     out = _outdir(args.out)
     ckpt = model.load(_require(args.ckpt))
     testset = _load_dataset(args.testset, vocab)
-    if args.cot_lang:
-        if args.cot_lang not in ("PIVOT", "TARGET"):
-            raise CliError("--cot-lang must be PIVOT or TARGET", EXIT_BAD_CONFIG)
-        expected = languages[0] if args.cot_lang == "PIVOT" else languages[1]
-    else:
-        expected = _expected_cot_lang(testset[0].regime, languages)
+    if args.cot_lang and args.cot_lang not in ("PIVOT", "TARGET"):
+        raise CliError("--cot-lang must be PIVOT or TARGET", EXIT_BAD_CONFIG)
+    # By default only NATIVE testsets expect target traces; `score` rejects an empty one.
+    native = bool(testset) and testset[0].regime == "NATIVE"
+    cot_lang = args.cot_lang or ("TARGET" if native else "PIVOT")
+    expected = languages[0] if cot_lang == "PIVOT" else languages[1]
     gcfg = _gen_config(cfg, cfg["seed"])
     report, records = evaluate.score(ckpt, testset, gcfg, vocab, languages, expected)
-    rec_path = os.path.join(out, "records.jsonl")
-    with open(rec_path, "w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(json.dumps(r, sort_keys=True) + "\n")
-    _write_sidecar(rec_path, cfg)
-    write_json(report, os.path.join(out, "report.json"), cfg)
+    _save_eval(report, records, os.path.join(out, "records.jsonl"),
+               os.path.join(out, "report.json"), cfg)
     print(f"accuracy {report['accuracy']:.4f} over {report['n']} items")
     return EXIT_OK
 
 
 def _paired_items(cfg: dict, vocab, languages, n: int, seed: int) -> list:
     pivot, target = languages
+    c = cfg["corpus"]
     pairs = []
     for i in range(n):
-        p = corpus.gen_problem(seed * 7_654_321 + i, cfg["corpus"]["max_steps"])
+        p = corpus.gen_problem(seed * 7_654_321 + i, c["max_steps"], c["value_cap"])
         tq = [vocab.bos] + vocab.tokenize(corpus.render(p, "QUESTION", target))
         pq = [vocab.bos] + vocab.tokenize(corpus.render(p, "QUESTION", pivot))
         pairs.append((f"pair-{i:04d}", tq, pq))
@@ -280,7 +284,7 @@ def _paired_items(cfg: dict, vocab, languages, n: int, seed: int) -> list:
 
 def cmd_retrieval(args) -> int:
     cfg = load_config(args.config, args.seed)
-    languages, vocab = _setup(cfg)
+    languages, vocab = _setup()
     out = _outdir(args.out)
     ckpt = model.load(_require(args.ckpt))
     scope = args.scope or cfg["analysis"]["scope"]
@@ -289,12 +293,9 @@ def cmd_retrieval(args) -> int:
     report = analysis.retrieval_report(ckpt, pairs, scope, vocab,
                                        max_new_tokens=cfg["eval"]["max_new_tokens"])
     write_json(report, os.path.join(out, "retrieval.json"), cfg)
-    csv_path = os.path.join(out, "retrieval.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("layer,accuracy\n")
-        for layer, acc in enumerate(report["per_layer_accuracy"]):
-            fh.write(f"{layer},{acc!r}\n")
-    _write_sidecar(csv_path, cfg)
+    _write_lines(["layer,accuracy"] + [f"{layer},{acc!r}" for layer, acc
+                                       in enumerate(report["per_layer_accuracy"])],
+                 os.path.join(out, "retrieval.csv"), cfg)
     print(f"best layer {report['best_layer']} accuracy {report['best_accuracy']:.4f}")
     return EXIT_OK
 
@@ -306,12 +307,9 @@ def cmd_delta(args) -> int:
     ckpt_b = model.load(_require(args.ckpt_b))
     report = analysis.delta_map(ckpt_a, ckpt_b)
     write_json(report.to_json(), os.path.join(out, "delta.json"), cfg)
-    csv_path = os.path.join(out, "delta.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("path,delta\n")
-        for path, val in sorted(report.per_path.items()):
-            fh.write(f"{path},{val!r}\n")
-    _write_sidecar(csv_path, cfg)
+    _write_lines(["path,delta"] + [f"{path},{val!r}" for path, val
+                                   in sorted(report.per_path.items())],
+                 os.path.join(out, "delta.csv"), cfg)
     print(f"grand total {report.grand_total:.6e}")
     return EXIT_OK
 
@@ -331,10 +329,7 @@ def cmd_correction(args) -> int:
     out = _outdir(args.out)
     base = _load_records(args.base_records)
     new = _load_records(args.new_records)
-    try:
-        matrix = evaluate.correction_matrix(base, new)
-    except evaluate.EvalError as exc:
-        raise CliError(str(exc), EXIT_BAD_DATA)
+    matrix = evaluate.correction_matrix(base, new)
     write_json(matrix.to_json(), os.path.join(out, "correction.json"), cfg)
     print(f"ic {float(matrix.ic):.4f} ci {float(matrix.ci):.4f}")
     return EXIT_OK
@@ -374,12 +369,8 @@ def _run_seed(cfg: dict, vocab, languages, seed: int, out: str) -> dict:
         tcfg = _train_config(cfg, seed, epochs=epochs)
         ckpt, rows = train.train(data, ckpt, tcfg, vocab)
         models[name], logs[name] = ckpt, rows
-        log_path = os.path.join(out, f"train_log_{name}.csv")
-        train.write_log_csv(rows, log_path)
-        _write_sidecar(log_path, cfg)
-        ckpt_path = os.path.join(out, f"model_{name}.ckpt")
-        model.save(ckpt, ckpt_path)
-        _write_sidecar(ckpt_path, cfg)
+        _save_training(ckpt, rows, os.path.join(out, f"model_{name}.ckpt"),
+                       os.path.join(out, f"train_log_{name}.csv"), cfg)
 
     # accuracy on target-language and pivot-language tests
     evals, records = {}, {}
@@ -392,12 +383,8 @@ def _run_seed(cfg: dict, vocab, languages, seed: int, out: str) -> dict:
         mdl = models[name.split("_")[0]]
         rep, recs = evaluate.score(mdl, tset, gcfg, vocab, languages, expected)
         evals[name], records[name] = rep, recs
-        rec_path = os.path.join(out, f"records_{name}.jsonl")
-        with open(rec_path, "w", encoding="utf-8") as fh:
-            for r in recs:
-                fh.write(json.dumps(r, sort_keys=True) + "\n")
-        _write_sidecar(rec_path, cfg)
-        write_json(rep, os.path.join(out, f"eval_{name}.json"), cfg)
+        _save_eval(rep, recs, os.path.join(out, f"records_{name}.jsonl"),
+                   os.path.join(out, f"eval_{name}.json"), cfg)
 
     # retrieval probe
     pairs = _paired_items(cfg, vocab, languages, cfg["analysis"]["n_retrieval_items"], seed)
@@ -452,7 +439,7 @@ def _run_seed(cfg: dict, vocab, languages, seed: int, out: str) -> dict:
 
 def cmd_reproduce(args) -> int:
     cfg = load_config(args.config, args.seed)
-    languages, vocab = _setup(cfg)
+    languages, vocab = _setup()
     out = _outdir(args.out)
     seeds = [cfg["seed"]] if args.seed is not None else cfg["reproduce"]["seeds"]
     vocab_path = os.path.join(out, "vocab.json")
@@ -518,7 +505,7 @@ def main(argv=None) -> int:
         return exc.exit_code
     except (corpus.CorpusError, model.ModelError, train.TrainError,
             evaluate.EvalError, analysis.AnalysisError) as exc:
-        code = EXIT_OVER_LENGTH if "max_context" in str(exc) else EXIT_BAD_DATA
+        code = EXIT_OVER_LENGTH if isinstance(exc, model.ContextLengthError) else EXIT_BAD_DATA
         print(json.dumps({"error": type(exc).__name__, "message": str(exc),
                           "exit_code": code}), file=sys.stderr)
         return code

@@ -298,11 +298,6 @@ def render(problem: Problem, segment: str, lang: Language) -> str:
     raise CorpusError(f"unknown segment {segment!r}")
 
 
-def cot_lines(cot_text: str) -> list:
-    """Split a rendered trace back into its ';'-terminated lines."""
-    return [line.strip() for line in cot_text.split(";") if line.strip()]
-
-
 @dataclass
 class Sample:
     id: str
@@ -340,21 +335,26 @@ def _regime_langs(regime: str) -> tuple:
     raise CorpusError(f"unknown regime {regime!r}")
 
 
-def make_sample(problem: Problem, regime: str, sid: str, vocab: Vocab, languages) -> Sample:
-    by_id = {lang.id: lang for lang in languages}
+def _assemble(sid: str, regime: str, q: str, c: str, a: str, vocab: Vocab) -> Sample:
+    """Tokens and segment labels of one sample; the regime sets its languages."""
     q_lang, c_lang, a_lang = _regime_langs(regime)
-    q = render(problem, "QUESTION", by_id[q_lang])
-    c = render(problem, "COT", by_id[c_lang])
-    a = render(problem, "ANSWER", by_id[a_lang])
     q_ids, c_ids, a_ids = vocab.tokenize(q), vocab.tokenize(c), vocab.tokenize(a)
-    tokens = [vocab.bos] + q_ids + c_ids + [vocab.think_end] + a_ids + [vocab.eos]
-    mask = segment_labels(len(q_ids), len(c_ids), len(a_ids))
+    if vocab.special_ids.intersection(q_ids + c_ids + a_ids):
+        raise CorpusError(f"sample {sid}: special token inside a segment")
     return Sample(
         id=sid, regime=regime,
         question_text=q, cot_text=c, answer_text=a,
         question_lang=q_lang, cot_lang=c_lang, answer_lang=a_lang,
-        tokens=tokens, mask=mask,
+        tokens=[vocab.bos] + q_ids + c_ids + [vocab.think_end] + a_ids + [vocab.eos],
+        mask=segment_labels(len(q_ids), len(c_ids), len(a_ids)),
     )
+
+
+def make_sample(problem: Problem, regime: str, sid: str, vocab: Vocab, languages) -> Sample:
+    by_id = {lang.id: lang for lang in languages}
+    texts = [render(problem, seg, by_id[lang])
+             for seg, lang in zip(SEGMENTS, _regime_langs(regime))]
+    return _assemble(sid, regime, *texts, vocab)
 
 
 def build_dataset(n_target: int, mix_ratio: float, regime: str, seed: int,
@@ -396,21 +396,18 @@ def save_jsonl(samples, path: str) -> None:
 
 
 def load_jsonl(path: str, vocab: Vocab) -> list:
+    """Samples of a JSONL file; rows that disagree with their regime are rejected."""
     samples = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             if not line.strip():
                 continue
             obj = json.loads(line)
-            q_ids = vocab.tokenize(obj["question"])
-            c_ids = vocab.tokenize(obj["cot"])
-            a_ids = vocab.tokenize(obj["answer"])
-            tokens = [vocab.bos] + q_ids + c_ids + [vocab.think_end] + a_ids + [vocab.eos]
-            mask = segment_labels(len(q_ids), len(c_ids), len(a_ids))
-            samples.append(Sample(
-                id=obj["id"], regime=obj["regime"],
-                question_text=obj["question"], cot_text=obj["cot"], answer_text=obj["answer"],
-                question_lang=obj["question_lang"], cot_lang=obj["cot_lang"],
-                answer_lang=obj["answer_lang"], tokens=tokens, mask=mask,
-            ))
+            s = _assemble(obj["id"], obj["regime"], obj["question"], obj["cot"],
+                          obj["answer"], vocab)
+            stored = (obj["question_lang"], obj["cot_lang"], obj["answer_lang"])
+            if stored != (s.question_lang, s.cot_lang, s.answer_lang):
+                raise CorpusError(f"sample {s.id}: languages {stored} do not match "
+                                  f"regime {s.regime}")
+            samples.append(s)
     return samples

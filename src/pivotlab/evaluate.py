@@ -15,12 +15,15 @@ class EvalError(Exception):
     pass
 
 
+class PromptTooLongError(EvalError, model.ContextLengthError):
+    pass
+
+
 @dataclass
 class GenConfig:
     mode: str = "sample"          # "greedy" or "sample"
     temperature: float = 0.6
     nucleus_p: float = 0.95
-    top_k: int | None = None      # optional integer top-k restriction
     max_new_tokens: int = 192
     seed: int = 0
 
@@ -31,8 +34,6 @@ class GenConfig:
             raise EvalError("temperature must be > 0 when sampling")
         if not 0.0 < self.nucleus_p <= 1.0:
             raise EvalError("nucleus_p must lie in (0, 1]")
-        if self.top_k is not None and self.top_k < 1:
-            raise EvalError("top_k must be >= 1")
         if self.max_new_tokens < 1:
             raise EvalError("max_new_tokens must be >= 1")
 
@@ -52,15 +53,13 @@ def item_seed(base_seed: int, item_id: str) -> int:
 
 
 def candidate_set(logits: np.ndarray, cfg: GenConfig):
-    """Token ids and renormalized probabilities after temperature, top-k and
-    nucleus truncation. Sort order breaks probability ties by lowest id."""
+    """Token ids and renormalized probabilities after temperature and nucleus
+    truncation. Sort order breaks probability ties by lowest id."""
     z = np.asarray(logits, dtype=np.float64) / cfg.temperature
     z -= z.max()
     p = np.exp(z)
     p /= p.sum()
     order = np.lexsort((np.arange(len(p)), -p))
-    if cfg.top_k is not None:
-        order = order[: cfg.top_k]
     probs = p[order]
     cum = np.cumsum(probs)
     cut = int(np.searchsorted(cum, cfg.nucleus_p * cum[-1] - 1e-12)) + 1
@@ -109,7 +108,7 @@ def generate_batch(ckpt: model.Checkpoint, prompts: list, ids: list, cfg: GenCon
         by_len.setdefault(len(p), []).append(idx)
     for plen, idxs in sorted(by_len.items()):
         if plen >= ckpt.config.max_context:
-            raise EvalError("prompt does not fit the model context")
+            raise PromptTooLongError("prompt does not fit the model context")
         feed = np.asarray([prompts[i] for i in idxs], dtype=np.int64)
         kv = []
         rngs = [np.random.default_rng(item_seed(cfg.seed, ids[i])) for i in idxs]

@@ -32,6 +32,10 @@ class CheckpointIOError(ModelError):
     pass
 
 
+class ContextLengthError(ModelError):
+    pass
+
+
 @dataclass
 class ModelConfig:
     vocab_size: int
@@ -92,13 +96,6 @@ class Checkpoint:
             step=self.step,
         )
 
-    def astype(self, dtype: str) -> "Checkpoint":
-        out = self.copy()
-        out.config.dtype = dtype
-        np_dt = out.config.np_dtype()
-        out.params = {p: v.astype(np_dt) for p, v in out.params.items()}
-        return out
-
     def validate(self) -> None:
         expected = set(param_paths(self.config))
         got = set(self.params)
@@ -147,7 +144,6 @@ class ForwardTrace:
     caches: list                # per-layer dicts of cached activations
     final_cache: dict
     checkpoint_id: int
-    squeeze: bool = False       # input was a single sequence
 
 
 def _layernorm_forward(x, w):
@@ -216,8 +212,7 @@ def forward(ckpt: Checkpoint, tokens, need_cache: bool = True, kv: list | None =
     """
     cfg = ckpt.config
     tok = np.asarray(tokens, dtype=np.int64)
-    squeeze = tok.ndim == 1
-    if squeeze:
+    if tok.ndim == 1:
         tok = tok[None, :]
     if tok.ndim != 2:
         raise ModelError("tokens must be a sequence or a 2-D batch")
@@ -228,7 +223,7 @@ def forward(ckpt: Checkpoint, tokens, need_cache: bool = True, kv: list | None =
         raise ModelError("a key/value cache requires need_cache=False")
     t0 = kv[0][0].shape[2] if kv else 0
     if t0 + t > cfg.max_context:
-        raise ModelError(f"sequence length {t0 + t} exceeds max_context {cfg.max_context}")
+        raise ContextLengthError(f"sequence length {t0 + t} exceeds max_context {cfg.max_context}")
     if tok.min() < 0 or tok.max() >= cfg.vocab_size:
         raise ModelError("token id outside vocabulary")
 
@@ -276,7 +271,7 @@ def forward(ckpt: Checkpoint, tokens, need_cache: bool = True, kv: list | None =
     return ForwardTrace(
         logits=logits, hidden_states=hidden, tokens=tok,
         caches=caches, final_cache=final_cache,
-        checkpoint_id=id(ckpt), squeeze=squeeze,
+        checkpoint_id=id(ckpt),
     )
 
 

@@ -23,6 +23,10 @@ class TrainError(Exception):
     pass
 
 
+class SampleTooLongError(TrainError, model.ContextLengthError):
+    pass
+
+
 @dataclass
 class TrainConfig:
     alpha: float = 1.0
@@ -52,22 +56,6 @@ class LossBreakdown:
     loss_total: float
     n_cot: int
     n_answer: int
-
-
-def make_mask(sample: corpus.Sample, vocab: corpus.Vocab) -> list:
-    """Per-token labels for a sample; requires exactly one separator token."""
-    n_sep = sample.tokens.count(vocab.think_end)
-    if n_sep != 1:
-        raise TrainError(f"sample {sample.id}: expected exactly one separator, found {n_sep}")
-    n_q = len(vocab.tokenize(sample.question_text))
-    n_c = len(vocab.tokenize(sample.cot_text))
-    n_a = len(vocab.tokenize(sample.answer_text))
-    labels = corpus.segment_labels(n_q, n_c, n_a)
-    if len(labels) != len(sample.tokens):
-        raise TrainError(f"sample {sample.id}: mask/token length mismatch")
-    if sample.tokens[1 + n_q + n_c] != vocab.think_end:
-        raise TrainError(f"sample {sample.id}: separator is not at the trace/answer boundary")
-    return labels
 
 
 def pad_batch(samples, vocab: corpus.Vocab):
@@ -199,13 +187,12 @@ def train(dataset, ckpt: model.Checkpoint, cfg: TrainConfig, vocab: corpus.Vocab
         raise TrainError("empty dataset")
     for s in dataset:
         if len(s.tokens) > ckpt.config.max_context:
-            raise TrainError(
+            raise SampleTooLongError(
                 f"sample {s.id} has {len(s.tokens)} tokens, exceeding max_context "
                 f"{ckpt.config.max_context}")
     batches = make_batches(dataset, cfg.batch_size)
     state = AdamWState()
     rows = []
-    ema_cot = ema_answer = None
     step = 0
     for epoch in range(cfg.epochs):
         order = list(range(len(batches)))
@@ -219,20 +206,17 @@ def train(dataset, ckpt: model.Checkpoint, cfg: TrainConfig, vocab: corpus.Vocab
             grads = model.backward(ckpt, trace, dlogits)
             step += 1
             adamw_step(ckpt, grads, cfg, step, state)
-            if ema_cot is None:
-                ema_cot, ema_answer = breakdown.loss_cot, breakdown.loss_answer
-            else:
-                w = cfg.ema_weight
-                ema_cot = w * ema_cot + (1.0 - w) * breakdown.loss_cot
-                ema_answer = w * ema_answer + (1.0 - w) * breakdown.loss_answer
             rows.append({
                 "step": step, "epoch": epoch + 1,
                 "loss_cot": breakdown.loss_cot, "loss_answer": breakdown.loss_answer,
                 "loss_total": breakdown.loss_total,
-                "ema_cot": ema_cot, "ema_answer": ema_answer,
             })
         if checkpoint_dir is not None:
             model.save(ckpt, f"{checkpoint_dir}/epoch{epoch + 1}.ckpt")
+    for seg in ("cot", "answer"):
+        emas = ema_series([r[f"loss_{seg}"] for r in rows], cfg.ema_weight)
+        for r, y in zip(rows, emas):
+            r[f"ema_{seg}"] = y
     return ckpt, rows
 
 

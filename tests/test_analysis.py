@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pivotlab import analysis, corpus, model
+from pivotlab import analysis, corpus
 
 import oracles
 
@@ -187,45 +187,3 @@ class TestDeltaMap:
     def test_to_json_keys(self, tiny_ckpt):
         obj = analysis.delta_map(tiny_ckpt, tiny_ckpt).to_json()
         assert set(obj) == {"per_path", "per_layer", "per_role", "grand_total"}
-
-
-class TestLayerSwap:
-    def test_swapped_blocks_come_from_donor(self, tiny_config):
-        base = model.init(tiny_config)
-        donor = base.copy()
-        for path in donor.params:
-            donor.params[path] = donor.params[path] + 1.0
-        out = analysis.layer_swap(base, donor, [1])
-        for role in model.LAYER_ROLES:
-            assert np.array_equal(out.params[f"L1.{role}"], donor.params[f"L1.{role}"])
-            assert np.array_equal(out.params[f"L0.{role}"], base.params[f"L0.{role}"])
-        for path in ("emb", "pos", "final_norm", "head"):
-            assert np.array_equal(out.params[path], base.params[path])
-
-    def test_inputs_not_mutated(self, tiny_ckpt):
-        donor = tiny_ckpt.copy()
-        donor.params["L0.att_v"] += 2.0
-        before = tiny_ckpt.params["L0.att_v"].copy()
-        out = analysis.layer_swap(tiny_ckpt, donor, [0])
-        out.params["L0.att_v"][:] = -99.0
-        assert np.array_equal(tiny_ckpt.params["L0.att_v"], before)
-
-    def test_out_of_range_layer(self, tiny_ckpt, tiny_config):
-        with pytest.raises(analysis.AnalysisError):
-            analysis.layer_swap(tiny_ckpt, tiny_ckpt.copy(), [tiny_config.n_layers])
-
-    def test_config_mismatch(self, tiny_ckpt, tiny_config):
-        import dataclasses
-        other_cfg = dataclasses.replace(tiny_config, d_ff=tiny_config.d_ff * 2)
-        other = model.init(other_cfg)
-        with pytest.raises(analysis.AnalysisError):
-            analysis.layer_swap(tiny_ckpt, other, [0])
-
-    def test_swapped_model_still_runs(self, tiny_config, vocab):
-        base = model.init(tiny_config)
-        donor = base.copy()
-        for path in donor.params:
-            donor.params[path] = -donor.params[path]
-        out = analysis.layer_swap(base, donor, [0, 1])
-        trace = model.forward(out, [vocab.bos, 3, 4])
-        assert np.all(np.isfinite(trace.logits))

@@ -136,6 +136,20 @@ class TestTrainCommand:
         assert rc == cli.EXIT_OVER_LENGTH
 
 
+def _save_init_ckpt(path, max_context: int = 128) -> str:
+    vocab = corpus.build_vocab(corpus.default_languages())
+    mcfg = model.ModelConfig(vocab_size=len(vocab),
+                             **{**TINY_CFG["model"], "max_context": max_context})
+    model.save(model.init(mcfg), str(path))
+    return str(path)
+
+
+def _error_line(capsys) -> dict:
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
 class TestEvalCommand:
     def test_report_and_records(self, workspace):
         out = workspace["tmp"] / "eval"
@@ -175,8 +189,47 @@ class TestEvalCommand:
                        "--ckpt", "/nope.ckpt", "--testset", workspace["data"]])
         assert rc == cli.EXIT_MISSING_FILE
 
+    def test_prompt_longer_than_context(self, tmp_path, cfg_path, capsys):
+        data = tmp_path / "data"
+        assert cli.main(["gen-data", "--config", cfg_path, "--out", str(data)]) == 0
+        rc = cli.main(["eval", "--config", cfg_path, "--out", str(tmp_path / "e"),
+                       "--ckpt", _save_init_ckpt(tmp_path / "short.ckpt", max_context=8),
+                       "--testset", str(data / "dataset.jsonl")])
+        assert rc == cli.EXIT_OVER_LENGTH
+        assert _error_line(capsys)["exit_code"] == cli.EXIT_OVER_LENGTH
+
+    def test_empty_testset(self, tmp_path, cfg_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        rc = cli.main(["eval", "--config", cfg_path, "--out", str(tmp_path / "e"),
+                       "--ckpt", _save_init_ckpt(tmp_path / "init.ckpt"),
+                       "--testset", str(empty)])
+        assert rc == cli.EXIT_BAD_DATA
+        assert _error_line(capsys)["exit_code"] == cli.EXIT_BAD_DATA
+
+    def test_malformed_row(self, tmp_path, cfg_path, malformed_dataset, capsys):
+        rc = cli.main(["eval", "--config", cfg_path, "--out", str(tmp_path / "e"),
+                       "--ckpt", _save_init_ckpt(tmp_path / "init.ckpt"),
+                       "--testset", malformed_dataset])
+        assert rc == cli.EXIT_BAD_DATA
+        assert _error_line(capsys)["exit_code"] == cli.EXIT_BAD_DATA
+
 
 class TestAnalysisCommands:
+    def test_retrieval_pairs_honour_value_cap(self, vocab, languages):
+        cfg = cli.load_config(None)
+        cfg["corpus"]["value_cap"] = 10
+        pivot = languages[0]
+        ops = {pivot.op_word(op): op for op in corpus.OPS}
+        for _, _, pq in cli._paired_items(cfg, vocab, languages, 64, seed=3):
+            # "start with S then OP X ... then OP X . what is the result ?"
+            words = vocab.detokenize(pq[1:]).split()
+            v = int(words[2])
+            for i in range(3, words.index("."), 3):
+                op, x = ops[words[i + 1]], int(words[i + 2])
+                v = {"ADD": v + x, "SUB": v - x, "MUL": v * x}[op]
+                assert abs(v) <= 10
+
     def test_retrieval(self, workspace):
         out = workspace["tmp"] / "ret"
         rc = cli.main(["retrieval", "--config", workspace["cfg"], "--out", str(out),

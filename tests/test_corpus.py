@@ -97,7 +97,7 @@ class TestRender:
         pivot, _ = languages
         for seed in range(100):
             p = corpus.gen_problem(seed)
-            lines = corpus.cot_lines(corpus.render(p, "COT", pivot))
+            lines = [l for l in corpus.render(p, "COT", pivot).split(";") if l.strip()]
             assert len(lines) == len(p.steps) + 1
 
     def test_question_injective(self, languages):
@@ -217,3 +217,7 @@ class TestBuildDataset:
             obj = json.loads(line)
             assert set(obj) == {"id", "regime", "question", "cot", "answer",
                                 "question_lang", "cot_lang", "answer_lang"}
+
+    def test_malformed_row_rejected(self, malformed_dataset, vocab):
+        with pytest.raises(corpus.CorpusError):
+            corpus.load_jsonl(malformed_dataset, vocab)

@@ -31,13 +31,6 @@ class TestCandidateSet:
         ids, _ = evaluate.candidate_set(logits, cfg)
         assert list(ids) == [0, 1]
 
-    def test_top_k_applies_before_nucleus(self):
-        logits = np.log(np.array([0.4, 0.3, 0.2, 0.1]))
-        cfg = evaluate.GenConfig(temperature=1.0, nucleus_p=1.0, top_k=2, seed=0)
-        ids, probs = evaluate.candidate_set(logits, cfg)
-        assert list(ids) == [0, 1]
-        assert probs == pytest.approx([0.4 / 0.7, 0.3 / 0.7])
-
     def test_temperature_sharpens(self):
         logits = np.array([2.0, 1.0, 0.0])
         hot = evaluate.candidate_set(logits, evaluate.GenConfig(temperature=2.0, nucleus_p=1.0, seed=0))[1]

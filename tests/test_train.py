@@ -21,22 +21,6 @@ def manual_cross_entropy(logits_row, target):
     return float(-(z[target] - math.log(np.exp(z).sum())))
 
 
-class TestMask:
-    def test_make_mask_matches_stored(self, vocab, languages):
-        for s in small_dataset(vocab, languages, n=10):
-            assert train.make_mask(s, vocab) == s.mask
-
-    def test_separator_misplaced_rejected(self, vocab, languages):
-        s = small_dataset(vocab, languages, n=1)[0]
-        sep = s.tokens.index(vocab.think_end)
-        bad = corpus.Sample(**{**s.__dict__})
-        bad.tokens = list(s.tokens)
-        bad.tokens[sep], bad.tokens[sep - 1] = bad.tokens[sep - 1], bad.tokens[sep]
-        bad.mask = list(s.mask)
-        with pytest.raises(train.TrainError):
-            train.make_mask(bad, vocab)
-
-
 class TestMaskedLoss:
     def test_matches_manual_cross_entropy(self, tiny_ckpt, vocab, languages):
         s = small_dataset(vocab, languages, n=1, max_steps=1)[0]
@@ -213,6 +197,8 @@ class TestTrainLoop:
         assert rows[0]["epoch"] == 1 and rows[-1]["epoch"] == 2
         cots = [r["loss_cot"] for r in rows]
         assert [r["ema_cot"] for r in rows] == train.ema_series(cots, 0.95)
+        answers = [r["loss_answer"] for r in rows]
+        assert [r["ema_answer"] for r in rows] == train.ema_series(answers, 0.95)
         for r in rows:
             assert r["loss_total"] == pytest.approx(
                 cfg.alpha * r["loss_cot"] + cfg.beta * r["loss_answer"])
