@@ -5,4 +5,12 @@ hand-written gradients, segment-masked training, and analysis probes
 (cross-lingual retrieval, checkpoint delta maps).
 """
 
+import os
+
+# One BLAS thread, set before any submodule imports numpy: training runs its
+# own two threads (model.forward), and BLAS threads on top would oversubscribe
+# the cores and make results depend on the host's thread settings.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+os.environ["OMP_NUM_THREADS"] = "1"
+
 __version__ = "0.1.0"

@@ -315,12 +315,22 @@ def cmd_delta(args) -> int:
 
 
 def _load_records(path: str) -> list:
+    """Per-item eval records; each needs a string `id` and a boolean `correct`."""
     _require(path)
     records = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                records.append(json.loads(line))
+        for n, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CliError(f"{path} line {n} is not JSON: {exc}", EXIT_BAD_DATA)
+            if not (isinstance(rec, dict) and isinstance(rec.get("id"), str)
+                    and isinstance(rec.get("correct"), bool)):
+                raise CliError(f"{path} line {n}: a record needs a string id and a boolean "
+                               "correct", EXIT_BAD_DATA)
+            records.append(rec)
     return records
 
 

@@ -10,7 +10,8 @@ LayerNorm parameters are stored as a (2, dim) tensor: row 0 gain, row 1 shift.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, asdict, field
 
 import numpy as np
 
@@ -143,7 +144,8 @@ class ForwardTrace:
     tokens: np.ndarray          # (B, T)
     caches: list                # per-layer dicts of cached activations
     final_cache: dict
-    checkpoint_id: int
+    checkpoint: Checkpoint      # the producer; backward accepts no other
+    halves: list = field(default_factory=list)  # a split batch's two row-half traces
 
 
 def _layernorm_forward(x, w):
@@ -209,6 +211,10 @@ def forward(ckpt: Checkpoint, tokens, need_cache: bool = True, kv: list | None =
     prefix, and their keys and values are appended to `kv` in place; the
     trace covers the new positions only. Backward cannot run through a cached
     prefix, so `kv` requires need_cache=False.
+
+    With need_cache=True a batch of B >= 2 rows runs as two fixed row halves,
+    [:ceil(B/2)] and [ceil(B/2):], on two threads; the trace concatenates
+    their logits and hidden states and keeps each half's trace in `halves`.
     """
     cfg = ckpt.config
     tok = np.asarray(tokens, dtype=np.int64)
@@ -226,7 +232,24 @@ def forward(ckpt: Checkpoint, tokens, need_cache: bool = True, kv: list | None =
         raise ContextLengthError(f"sequence length {t0 + t} exceeds max_context {cfg.max_context}")
     if tok.min() < 0 or tok.max() >= cfg.vocab_size:
         raise ModelError("token id outside vocabulary")
+    if need_cache and b >= 2:
+        # Two fixed row halves on two threads; numpy releases the GIL in BLAS
+        # and ufuncs, so they overlap. The split depends only on the shape.
+        mid = (b + 1) // 2
+        with ThreadPoolExecutor(2) as pool:
+            halves = list(pool.map(lambda rows: _forward_rows(ckpt, rows, 0, None, True),
+                                   (tok[:mid], tok[mid:])))
+        return ForwardTrace(
+            logits=np.concatenate([h.logits for h in halves]),
+            hidden_states=[np.concatenate(hs) for hs in zip(*(h.hidden_states for h in halves))],
+            tokens=tok, caches=[], final_cache={}, checkpoint=ckpt, halves=halves)
+    return _forward_rows(ckpt, tok, t0, kv, need_cache)
 
+
+def _forward_rows(ckpt: Checkpoint, tok, t0: int, kv, need_cache: bool) -> ForwardTrace:
+    """The layer loop over a validated (B, T) batch."""
+    cfg = ckpt.config
+    t = tok.shape[1]
     p = ckpt.params
     dt = cfg.np_dtype()
     scale = dt(cfg.head_dim ** -0.5)
@@ -270,25 +293,32 @@ def forward(ckpt: Checkpoint, tokens, need_cache: bool = True, kv: list | None =
     final_cache = {"f": f, "xhat_f": xhat_f, "inv_f": inv_f} if need_cache else {}
     return ForwardTrace(
         logits=logits, hidden_states=hidden, tokens=tok,
-        caches=caches, final_cache=final_cache,
-        checkpoint_id=id(ckpt),
+        caches=caches, final_cache=final_cache, checkpoint=ckpt,
     )
 
 
 def backward(ckpt: Checkpoint, trace: ForwardTrace, dlogits) -> dict:
     """Exact reverse-mode gradients of a scalar loss, given d(loss)/d(logits)."""
-    if trace.checkpoint_id != id(ckpt):
+    dl = np.asarray(dlogits, dtype=ckpt.config.np_dtype())
+    if dl.ndim == 2:
+        dl = dl[None, :, :]
+    if dl.shape != trace.logits.shape:
+        raise ModelError("dlogits shape mismatch with trace logits")
+    if not trace.halves:
+        return _backward(ckpt, trace, dl)
+    mid = trace.halves[0].tokens.shape[0]
+    with ThreadPoolExecutor(2) as pool:
+        g0, g1 = pool.map(_backward, (ckpt, ckpt), trace.halves, (dl[:mid], dl[mid:]))
+    return {path: g0[path] + g1[path] for path in g0}
+
+
+def _backward(ckpt: Checkpoint, trace: ForwardTrace, dl) -> dict:
+    if trace.checkpoint is not ckpt:
         raise ModelError("trace was not produced by this checkpoint")
     if not trace.caches:
         raise ModelError("trace has no cached activations (forward with need_cache=True)")
     cfg = ckpt.config
     p = ckpt.params
-    dl = np.asarray(dlogits, dtype=cfg.np_dtype())
-    if dl.ndim == 2:
-        dl = dl[None, :, :]
-    if dl.shape != trace.logits.shape:
-        raise ModelError("dlogits shape mismatch with trace logits")
-
     tok = trace.tokens
     b, t = tok.shape
     scale = cfg.head_dim ** -0.5
@@ -377,23 +407,29 @@ def load(path: str) -> Checkpoint:
         manifest = json.loads(header.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointIOError(f"corrupt checkpoint manifest: {exc}") from exc
-    if manifest.get("magic") != CHECKPOINT_MAGIC:
+    if not isinstance(manifest, dict) or manifest.get("magic") != CHECKPOINT_MAGIC:
         raise CheckpointIOError("not a checkpoint file (bad magic)")
-    if len(payload) != manifest["payload_bytes"]:
+    try:
+        config = ModelConfig(**manifest["config"])
+        config.validate()
+        step, payload_bytes = manifest["step"], manifest["payload_bytes"]
+        entries = [(e["path"], e["shape"], np.dtype(e["dtype"]), e["byte_offset"], e["byte_length"])
+                   for e in manifest["tensors"]]
+    except (KeyError, TypeError) as exc:
+        raise CheckpointIOError(f"malformed checkpoint manifest: {exc!r}") from exc
+    if len(payload) != payload_bytes:
         raise CheckpointIOError(
-            f"truncated payload: expected {manifest['payload_bytes']} bytes, got {len(payload)}")
-    config = ModelConfig(**manifest["config"])
+            f"truncated payload: expected {payload_bytes} bytes, got {len(payload)}")
     params = {}
-    for entry in manifest["tensors"]:
-        n = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        dt = np.dtype(entry["dtype"])
-        if entry["byte_length"] != n * dt.itemsize:
-            raise CheckpointIOError(f"shape/payload mismatch for tensor {entry['path']!r}")
-        start, end = entry["byte_offset"], entry["byte_offset"] + entry["byte_length"]
+    for path, shape, dt, start, length in entries:
+        n = int(np.prod(shape)) if shape else 1
+        if length != n * dt.itemsize:
+            raise CheckpointIOError(f"shape/payload mismatch for tensor {path!r}")
+        end = start + length
         if end > len(payload):
-            raise CheckpointIOError(f"payload overrun for tensor {entry['path']!r}")
+            raise CheckpointIOError(f"payload overrun for tensor {path!r}")
         arr = np.frombuffer(payload[start:end], dtype=dt.newbyteorder("<")).astype(dt)
-        params[entry["path"]] = arr.reshape(entry["shape"])
-    ckpt = Checkpoint(config=config, params=params, step=manifest["step"])
+        params[path] = arr.reshape(shape)
+    ckpt = Checkpoint(config=config, params=params, step=step)
     ckpt.validate()
     return ckpt

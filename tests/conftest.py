@@ -1,8 +1,30 @@
 import json
+import os
+import shutil
+import sys
 
 import pytest
 
 from pivotlab import corpus, model
+
+
+@pytest.fixture
+def pivotlab_command(tmp_path_factory, monkeypatch):
+    """Put a `pivotlab` shim on PATH when the console script is not installed.
+
+    The shim runs this interpreter on `pivotlab.cli` and inherits the
+    environment, PYTHONPATH included. Tests that shell out to `pivotlab` at a
+    small config request it; the full-scale criteria 6 and 7 do not, so a
+    plain run stays within seconds and they run only where the package is
+    installed.
+    """
+    if shutil.which("pivotlab") is not None:
+        return
+    bin_dir = tmp_path_factory.mktemp("bin")
+    shim = bin_dir / "pivotlab"
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m pivotlab.cli "$@"\n')
+    shim.chmod(0o755)
+    monkeypatch.setenv("PATH", f"{bin_dir}{os.pathsep}{os.environ.get('PATH', '')}")
 
 
 @pytest.fixture(scope="session")
@@ -43,4 +65,25 @@ def malformed_dataset(request, tmp_path, vocab, languages):
     corpus.save_jsonl([sample], str(path))
     row = MALFORMED_ROWS[request.param](json.loads(path.read_text()))
     path.write_text(json.dumps(row) + "\n")
+    return str(path)
+
+
+# One way each to break a checkpoint manifest; model.load must reject all.
+MALFORMED_MANIFESTS = {
+    "missing_step": lambda m: {k: v for k, v in m.items() if k != "step"},
+    "unknown_config_key": lambda m: {**m, "config": {**m["config"], "colour": "blue"}},
+    "config_not_object": lambda m: {**m, "config": [1, 2]},
+    "tensor_without_dtype": lambda m: {**m, "tensors": [
+        {k: v for k, v in t.items() if k != "dtype"} for t in m["tensors"]]},
+}
+
+
+@pytest.fixture(params=sorted(MALFORMED_MANIFESTS))
+def malformed_checkpoint(request, tmp_path, tiny_ckpt):
+    """Path of a checkpoint file whose manifest line is broken in one way."""
+    path = tmp_path / "malformed.ckpt"
+    model.save(tiny_ckpt, str(path))
+    manifest_line, payload = path.read_bytes().split(b"\n", 1)
+    manifest = MALFORMED_MANIFESTS[request.param](json.loads(manifest_line))
+    path.write_bytes(json.dumps(manifest).encode() + b"\n" + payload)
     return str(path)

@@ -328,7 +328,7 @@ class TestCriterion8Determinism:
             proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
             assert proc.returncode == 0, (cmd, proc.stderr)
 
-    def test_reruns_are_byte_identical(self, capsys, tmp_path):
+    def test_reruns_are_byte_identical(self, capsys, tmp_path, pivotlab_command):
         cfg = {
             "corpus": {"n_target": 16, "mix_ratio": 0.5, "max_steps": 2},
             "model": {"d_model": 8, "n_layers": 2, "n_heads": 2, "d_ff": 16},

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import subprocess
 
 import pytest
 
@@ -277,6 +279,56 @@ class TestAnalysisCommands:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["exit_code"] == cli.EXIT_BAD_DATA
         assert "message" in err and "error" in err
+
+    @pytest.mark.parametrize("line", ['{not json', '{"id": "a"}', '{"correct": true}',
+                                      '["a", true]'])
+    def test_correction_malformed_record(self, tmp_path, cfg_path, capsys, line):
+        good = tmp_path / "good.jsonl"
+        bad = tmp_path / "bad.jsonl"
+        good.write_text('{"id": "a", "correct": true}\n')
+        bad.write_text(line + "\n")
+        rc = cli.main(["correction", "--config", cfg_path, "--out", str(tmp_path / "c"),
+                       "--base-records", str(good), "--new-records", str(bad)])
+        assert rc == cli.EXIT_BAD_DATA
+        assert _error_line(capsys)["exit_code"] == cli.EXIT_BAD_DATA
+
+    def test_delta_malformed_manifest(self, tmp_path, cfg_path, capsys, malformed_checkpoint):
+        rc = cli.main(["delta", "--config", cfg_path, "--out", str(tmp_path / "d"),
+                       "--ckpt-a", malformed_checkpoint,
+                       "--ckpt-b", _save_init_ckpt(tmp_path / "init.ckpt")])
+        assert rc == cli.EXIT_BAD_DATA
+        assert _error_line(capsys)["exit_code"] == cli.EXIT_BAD_DATA
+
+
+class TestThreadEnv:
+    def test_train_bytes_do_not_depend_on_blas_threads(self, tmp_path, pivotlab_command):
+        """`pivotlab train` writes the same bytes whatever OPENBLAS_NUM_THREADS says.
+
+        Each batch half (24 rows) is just large enough for OpenBLAS to thread
+        its products, which the tiny test model never is. On a 2-core host an
+        unset variable means 2 threads, so 1 is compared as well.
+        """
+        cfg = {"corpus": {"n_target": 48, "mix_ratio": 0.5, "max_steps": 3},
+               "model": {"d_model": 32, "n_layers": 1, "n_heads": 2, "d_ff": 128},
+               "train": {"epochs": 1, "batch_size": 48}, "seed": 7}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        data = tmp_path / "data"
+        assert cli.main(["gen-data", "--config", str(cfg_path), "--out", str(data)]) == 0
+        digests = {}
+        for threads in (None, "1", "2"):
+            env = {k: v for k, v in os.environ.items()
+                   if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            out = tmp_path / f"threads-{threads}"
+            proc = subprocess.run(["pivotlab", "train", "--config", str(cfg_path),
+                                   "--out", str(out), "--data", str(data / "dataset.jsonl")],
+                                  capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            digests[threads] = [hashlib.sha256((out / name).read_bytes()).hexdigest()
+                                for name in ("final.ckpt", "train_log.csv")]
+        assert digests[None] == digests["1"] == digests["2"], digests
 
 
 class TestReproduce:

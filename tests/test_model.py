@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 
@@ -261,6 +262,71 @@ class TestBackward:
             assert np.allclose(grads[path], grads_p[path], atol=1e-10), path
         assert np.allclose(grads["emb"][1:], emb_pad_only[1:], atol=1e-10)
 
+    def test_trace_of_freed_checkpoint_rejected(self, tiny_ckpt):
+        """A trace keeps its checkpoint alive, so no new one can take its identity."""
+        for rows in ([[1, 2, 3]], [[1, 2, 3], [4, 5, 6]]):
+            trace = model.forward(tiny_ckpt.copy(), rows)
+            gc.collect()
+            fresh = [model.Checkpoint(config=tiny_ckpt.config, params=tiny_ckpt.params)
+                     for _ in range(200)]
+            for ckpt in fresh:
+                with pytest.raises(model.ModelError):
+                    model.backward(ckpt, trace, np.ones_like(trace.logits))
+
+    def test_half_from_another_checkpoint_rejected(self, tiny_ckpt):
+        rows = [[1, 2, 3], [4, 5, 6]]
+        trace = model.forward(tiny_ckpt, rows)
+        trace.halves[1] = model.forward(tiny_ckpt.copy(), rows).halves[1]
+        with pytest.raises(model.ModelError):
+            model.backward(tiny_ckpt, trace, np.ones_like(trace.logits))
+
+
+class TestBatchSplit:
+    """A cached forward of B >= 2 rows runs as two row halves on two threads."""
+
+    @pytest.mark.parametrize("b", [2, 5])
+    def test_matches_sum_of_single_rows(self, tiny_ckpt, b):
+        rng = np.random.default_rng(b)
+        tokens = rng.integers(0, tiny_ckpt.config.vocab_size, size=(b, 7))
+        dlogits = rng.normal(size=(b, 7, tiny_ckpt.config.vocab_size))
+        trace = model.forward(tiny_ckpt, tokens)
+        grads = model.backward(tiny_ckpt, trace, dlogits)
+        want = {path: np.zeros_like(v) for path, v in tiny_ckpt.params.items()}
+        for i in range(b):
+            single = model.forward(tiny_ckpt, tokens[i])
+            assert not single.halves
+            assert np.max(np.abs(trace.logits[i] - single.logits[0])) <= 1e-12
+            for got, h in zip(trace.hidden_states, single.hidden_states, strict=True):
+                assert np.max(np.abs(got[i] - h[0])) <= 1e-12
+            for path, g in model.backward(tiny_ckpt, single, dlogits[i]).items():
+                want[path] += g
+        assert set(grads) == set(want)
+        for path in want:
+            assert np.max(np.abs(grads[path] - want[path])) <= 1e-12, path
+
+    def test_split_point_is_fixed_by_batch_size(self, tiny_ckpt):
+        rows = np.arange(5 * 4).reshape(5, 4) % tiny_ckpt.config.vocab_size
+        trace = model.forward(tiny_ckpt, rows)
+        assert [h.tokens.tolist() for h in trace.halves] == [rows[:3].tolist(), rows[3:].tolist()]
+        assert trace.caches == [] and all(h.caches for h in trace.halves)
+        assert model.forward(tiny_ckpt, rows[:1]).halves == []
+        assert model.forward(tiny_ckpt, rows, need_cache=False).halves == []
+
+    def test_finite_difference_on_split_batch(self, tiny_config):
+        ckpt = model.init(tiny_config)
+        rng = np.random.default_rng(11)
+        tokens = rng.integers(0, tiny_config.vocab_size, size=(3, 5))
+        trace = model.forward(ckpt, tokens)
+        assert len(trace.halves) == 2
+        dlogits = rng.normal(size=trace.logits.shape)
+        grads = model.backward(ckpt, trace, dlogits)
+        # eps=1e-4 leaves a truncation error of ~1.4e-4 on `emb` here, on the
+        # unsplit path too; it shrinks as eps**2.
+        fd = finite_difference_grads(ckpt, tokens, dlogits, model.param_paths(tiny_config),
+                                     eps=1e-5)
+        worst = max(rel_err(grads[path], fd[path]) for path in fd)
+        assert worst < 1e-4
+
 
 class TestCheckpointIO:
     def test_round_trip_byte_identical(self, tiny_ckpt, tmp_path):
@@ -302,3 +368,7 @@ class TestCheckpointIO:
         with pytest.raises(model.CheckpointIOError) as exc:
             model.load(str(p))
         assert manifest["tensors"][0]["path"] in str(exc.value)
+
+    def test_malformed_manifest(self, malformed_checkpoint):
+        with pytest.raises(model.CheckpointIOError):
+            model.load(malformed_checkpoint)
