@@ -21,6 +21,14 @@ class AnalysisError(Exception):
 SCOPES = ("QUESTION_ONLY", "QUESTION_PLUS_COT")
 
 
+def check_settings(n_retrieval_items: int, scope: str) -> None:
+    """The bounds on a retrieval probe; the names are the keys of the config's analysis section."""
+    if scope not in SCOPES:
+        raise AnalysisError(f"unknown scope {scope!r}")
+    if n_retrieval_items < 1:
+        raise AnalysisError("a retrieval probe needs at least one item")
+
+
 @dataclass
 class EmbeddingSet:
     layer: int
@@ -69,8 +77,7 @@ def _all_layer_embeddings(ckpt, items, scope, vocab, max_new_tokens):
 
     Trace generation (when the scope asks for it) is batched across items.
     """
-    if scope not in SCOPES:
-        raise AnalysisError(f"unknown scope {scope!r}")
+    check_settings(len(items), scope)
     for iid, tokens in items:
         if len(tokens) == 0:
             raise AnalysisError(f"item {iid}: empty token sequence")

@@ -9,6 +9,7 @@ the artifacts themselves are timestamp-free so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -34,41 +35,26 @@ class CliError(Exception):
         self.exit_code = exit_code
 
 
+def _defaults(cls, *filled_by_cli: str) -> dict:
+    """Config section of a dataclass's field defaults, minus the fields the CLI fills in."""
+    return {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+            for f in dataclasses.fields(cls) if f.name not in filled_by_cli}
+
+
+# The model, train and eval sections take their keys and defaults from the
+# dataclasses they build; the other sections have no dataclass.
 DEFAULT_CONFIG = {
     "seed": 0,
     "corpus": {
         "n_target": 20000,
         "mix_ratio": 1.0,
         "regime": "PIVOTED",
-        "max_steps": 5,
+        "max_steps": corpus.DEFAULT_MAX_STEPS,
         "value_cap": corpus.DEFAULT_VALUE_CAP,
     },
-    "model": {
-        "d_model": 64,
-        "n_layers": 4,
-        "n_heads": 4,
-        "d_ff": 256,
-        "max_context": 256,
-        "dtype": "float32",
-    },
-    "train": {
-        "alpha": 1.0,
-        "beta": 1.0,
-        "lr": 3e-4,
-        "betas": [0.9, 0.999],
-        "eps": 1e-8,
-        "weight_decay": 0.01,
-        "epochs": 3,
-        "batch_size": 24,
-        "ema_weight": 0.95,
-    },
-    "eval": {
-        "mode": "sample",
-        "temperature": 0.6,
-        "nucleus_p": 0.95,
-        "max_new_tokens": 192,
-        "n_test": 200,
-    },
+    "model": _defaults(model.ModelConfig, "vocab_size", "rng_seed"),
+    "train": _defaults(train.TrainConfig, "seed"),
+    "eval": _defaults(evaluate.GenConfig, "seed"),
     "analysis": {
         "n_retrieval_items": 64,
         "scope": "QUESTION_PLUS_COT",
@@ -81,40 +67,76 @@ DEFAULT_CONFIG = {
     },
 }
 
+# What the modules raise on a bad value, whether it comes from the config or the data.
+MODULE_ERRORS = (corpus.CorpusError, model.ModelError, train.TrainError, evaluate.EvalError,
+                 analysis.AnalysisError)
+
 
 def config_hash(config: dict) -> str:
     blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _merge(base: dict, override: dict) -> dict:
-    out = dict(base)
-    for k, v in override.items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
-            out[k] = _merge(out[k], v)
+def _same_type(default, value) -> bool:
+    """Whether `value` has the JSON type of `default`: an int may stand for a float, a bool
+    never for a number, numbers are finite, and list elements match the default's first."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_same_type(default[0], v) for v in value)
+    if type(default) is float:
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    return type(value) is type(default)
+
+
+def _overlay(cfg: dict, user, where: str = "config") -> None:
+    """Lay `user` over `cfg` in place; each key must exist in `cfg` and keep its JSON type."""
+    if not isinstance(user, dict):
+        raise CliError(f"{where} must be a JSON object", EXIT_BAD_CONFIG)
+    for key, value in user.items():
+        name = f"{where}.{key}"
+        if key not in cfg:
+            raise CliError(f"unknown config key {name}", EXIT_BAD_CONFIG)
+        if isinstance(cfg[key], dict):
+            _overlay(cfg[key], value, name)
+        elif _same_type(cfg[key], value):
+            cfg[key] = value
         else:
-            out[k] = v
-    return out
+            raise CliError(f"{name} = {value!r} does not have the JSON type of its default "
+                           f"{cfg[key]!r}", EXIT_BAD_CONFIG)
+
+
+def _check(cfg: dict) -> None:
+    """Range-check every value any command may use, by the checks of the module that owns it."""
+    r = cfg["reproduce"]
+    if not r["seeds"] or len(set(r["seeds"])) < len(r["seeds"]):
+        raise CliError("config.reproduce.seeds must be distinct and not empty", EXIT_BAD_CONFIG)
+    for seed in [cfg["seed"], *r["seeds"]]:
+        # vocab_size comes from the vocab, not the config
+        model.ModelConfig(**cfg["model"], vocab_size=1, rng_seed=seed).validate()
+    for epochs in (cfg["train"]["epochs"], r["epochs"]):
+        train.TrainConfig(**{**cfg["train"], "epochs": epochs}).validate()
+    for mode in (cfg["eval"]["mode"], r["eval_mode"]):
+        evaluate.GenConfig(**{**cfg["eval"], "mode": mode}).validate()
+    for n in (cfg["corpus"]["n_target"], r["n_test"]):
+        corpus.check_settings(**{**cfg["corpus"], "n_target": n})
+    analysis.check_settings(**cfg["analysis"])
 
 
 def load_config(path: str | None, seed_override: int | None = None) -> dict:
+    """DEFAULT_CONFIG with the JSON object at `path` laid over it, checked in full."""
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))
     if path is not None:
-        if not os.path.exists(path):
-            raise CliError(f"config file not found: {path}", EXIT_MISSING_FILE)
-        with open(path, encoding="utf-8") as fh:
+        with open(_require(path), encoding="utf-8") as fh:
             try:
                 user = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:
                 raise CliError(f"config is not valid JSON: {exc}", EXIT_BAD_CONFIG)
-        if not isinstance(user, dict):
-            raise CliError("config root must be a JSON object", EXIT_BAD_CONFIG)
-        unknown = set(user) - set(cfg)
-        if unknown:
-            raise CliError(f"unknown config sections: {sorted(unknown)}", EXIT_BAD_CONFIG)
-        cfg = _merge(cfg, user)
+        _overlay(cfg, user)
     if seed_override is not None:
         cfg["seed"] = seed_override
+    try:
+        _check(cfg)
+    except MODULE_ERRORS as exc:
+        raise CliError(f"bad config: {exc}", EXIT_BAD_CONFIG) from exc
     return cfg
 
 
@@ -168,7 +190,7 @@ def _outdir(path: str) -> str:
 
 
 def _require(path: str) -> str:
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise CliError(f"required file not found: {path}", EXIT_MISSING_FILE)
     return path
 
@@ -179,43 +201,16 @@ def _setup():
     return languages, vocab
 
 
-def _model_config(cfg: dict, vocab, seed: int) -> model.ModelConfig:
-    m = cfg["model"]
-    return model.ModelConfig(vocab_size=len(vocab), d_model=m["d_model"],
-                             n_layers=m["n_layers"], n_heads=m["n_heads"], d_ff=m["d_ff"],
-                             max_context=m["max_context"], rng_seed=seed, dtype=m["dtype"])
-
-
-def _train_config(cfg: dict, seed: int, epochs: int | None = None) -> train.TrainConfig:
-    t = cfg["train"]
-    return train.TrainConfig(alpha=t["alpha"], beta=t["beta"], lr=t["lr"],
-                             betas=tuple(t["betas"]), eps=t["eps"],
-                             weight_decay=t["weight_decay"],
-                             epochs=t["epochs"] if epochs is None else epochs,
-                             batch_size=t["batch_size"], seed=seed,
-                             ema_weight=t["ema_weight"])
-
-
-def _gen_config(cfg: dict, seed: int, mode: str = None) -> evaluate.GenConfig:
-    e = cfg["eval"]
-    return evaluate.GenConfig(mode=mode or e["mode"], temperature=e["temperature"],
-                              nucleus_p=e["nucleus_p"], max_new_tokens=e["max_new_tokens"],
-                              seed=seed)
-
-
 def _build(cfg: dict, vocab, languages, n: int, mix: float, regime: str, seed: int):
     c = cfg["corpus"]
     return corpus.build_dataset(n, mix, regime, seed, vocab, languages,
                                 max_steps=c["max_steps"], value_cap=c["value_cap"])
 
 
-def cmd_gen_data(args) -> int:
-    cfg = load_config(args.config, args.seed)
+def cmd_gen_data(args, cfg: dict, out: str) -> int:
     languages, vocab = _setup()
-    out = _outdir(args.out)
-    c = cfg["corpus"]
-    samples = _build(cfg, vocab, languages, c["n_target"], c["mix_ratio"],
-                     c["regime"], cfg["seed"])
+    samples = corpus.build_dataset(**cfg["corpus"], seed=cfg["seed"], vocab=vocab,
+                                   languages=languages)
     data_path = os.path.join(out, "dataset.jsonl")
     corpus.save_jsonl(samples, data_path)
     _write_sidecar(data_path, cfg)
@@ -236,13 +231,12 @@ def _load_dataset(path: str, vocab) -> list:
         raise CliError(f"bad dataset {path}: {exc}", EXIT_BAD_DATA)
 
 
-def cmd_train(args) -> int:
-    cfg = load_config(args.config, args.seed)
+def cmd_train(args, cfg: dict, out: str) -> int:
     languages, vocab = _setup()
-    out = _outdir(args.out)
     dataset = _load_dataset(args.data, vocab)
-    ckpt = model.init(_model_config(cfg, vocab, cfg["seed"]))
-    tcfg = _train_config(cfg, cfg["seed"])
+    ckpt = model.init(model.ModelConfig(**cfg["model"], vocab_size=len(vocab),
+                                        rng_seed=cfg["seed"]))
+    tcfg = train.TrainConfig(**cfg["train"], seed=cfg["seed"])
     ckpt, rows = train.train(dataset, ckpt, tcfg, vocab, checkpoint_dir=out)
     ckpt_path = os.path.join(out, "final.ckpt")
     _save_training(ckpt, rows, ckpt_path, os.path.join(out, "train_log.csv"), cfg)
@@ -250,10 +244,8 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    cfg = load_config(args.config, args.seed)
+def cmd_eval(args, cfg: dict, out: str) -> int:
     languages, vocab = _setup()
-    out = _outdir(args.out)
     ckpt = model.load(_require(args.ckpt))
     testset = _load_dataset(args.testset, vocab)
     if args.cot_lang and args.cot_lang not in ("PIVOT", "TARGET"):
@@ -262,7 +254,7 @@ def cmd_eval(args) -> int:
     native = bool(testset) and testset[0].regime == "NATIVE"
     cot_lang = args.cot_lang or ("TARGET" if native else "PIVOT")
     expected = languages[0] if cot_lang == "PIVOT" else languages[1]
-    gcfg = _gen_config(cfg, cfg["seed"])
+    gcfg = evaluate.GenConfig(**cfg["eval"], seed=cfg["seed"])
     report, records = evaluate.score(ckpt, testset, gcfg, vocab, languages, expected)
     _save_eval(report, records, os.path.join(out, "records.jsonl"),
                os.path.join(out, "report.json"), cfg)
@@ -282,10 +274,8 @@ def _paired_items(cfg: dict, vocab, languages, n: int, seed: int) -> list:
     return pairs
 
 
-def cmd_retrieval(args) -> int:
-    cfg = load_config(args.config, args.seed)
+def cmd_retrieval(args, cfg: dict, out: str) -> int:
     languages, vocab = _setup()
-    out = _outdir(args.out)
     ckpt = model.load(_require(args.ckpt))
     scope = args.scope or cfg["analysis"]["scope"]
     pairs = _paired_items(cfg, vocab, languages, cfg["analysis"]["n_retrieval_items"],
@@ -300,9 +290,7 @@ def cmd_retrieval(args) -> int:
     return EXIT_OK
 
 
-def cmd_delta(args) -> int:
-    cfg = load_config(args.config, args.seed)
-    out = _outdir(args.out)
+def cmd_delta(args, cfg: dict, out: str) -> int:
     ckpt_a = model.load(_require(args.ckpt_a))
     ckpt_b = model.load(_require(args.ckpt_b))
     report = analysis.delta_map(ckpt_a, ckpt_b)
@@ -334,9 +322,7 @@ def _load_records(path: str) -> list:
     return records
 
 
-def cmd_correction(args) -> int:
-    cfg = load_config(args.config, args.seed)
-    out = _outdir(args.out)
+def cmd_correction(args, cfg: dict, out: str) -> int:
     base = _load_records(args.base_records)
     new = _load_records(args.new_records)
     matrix = evaluate.correction_matrix(base, new)
@@ -355,10 +341,10 @@ def _run_seed(cfg: dict, vocab, languages, seed: int, out: str) -> dict:
     pivot, target = languages
     c, rcfg = cfg["corpus"], cfg["reproduce"]
     n_test = rcfg["n_test"]
-    epochs = rcfg["epochs"]
+    tcfg = train.TrainConfig(**{**cfg["train"], "epochs": rcfg["epochs"]}, seed=seed)
     # Deterministic decoding: at this scale, sampling noise on a small test
     # set can swamp the accuracy gaps the report is meant to compare.
-    gcfg = _gen_config(cfg, seed, mode=rcfg["eval_mode"])
+    gcfg = evaluate.GenConfig(**{**cfg["eval"], "mode": rcfg["eval_mode"]}, seed=seed)
 
     datasets = {
         "pivoted": _build(cfg, vocab, languages, c["n_target"], c["mix_ratio"], "PIVOTED", seed),
@@ -372,12 +358,10 @@ def _run_seed(cfg: dict, vocab, languages, seed: int, out: str) -> dict:
     corpus.save_jsonl(datasets["pivoted"], data_path)
     _write_sidecar(data_path, cfg)
 
-    init_ckpt = model.init(_model_config(cfg, vocab, seed))
+    init_ckpt = model.init(model.ModelConfig(**cfg["model"], vocab_size=len(vocab), rng_seed=seed))
     models, logs = {}, {}
     for name, data in datasets.items():
-        ckpt = init_ckpt.copy()
-        tcfg = _train_config(cfg, seed, epochs=epochs)
-        ckpt, rows = train.train(data, ckpt, tcfg, vocab)
+        ckpt, rows = train.train(data, init_ckpt.copy(), tcfg, vocab)
         models[name], logs[name] = ckpt, rows
         _save_training(ckpt, rows, os.path.join(out, f"model_{name}.ckpt"),
                        os.path.join(out, f"train_log_{name}.csv"), cfg)
@@ -447,10 +431,8 @@ def _run_seed(cfg: dict, vocab, languages, seed: int, out: str) -> dict:
     return outcome
 
 
-def cmd_reproduce(args) -> int:
-    cfg = load_config(args.config, args.seed)
+def cmd_reproduce(args, cfg: dict, out: str) -> int:
     languages, vocab = _setup()
-    out = _outdir(args.out)
     seeds = [cfg["seed"]] if args.seed is not None else cfg["reproduce"]["seeds"]
     vocab_path = os.path.join(out, "vocab.json")
     vocab.save(vocab_path)
@@ -508,13 +490,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        cfg = load_config(args.config, args.seed)
+        return args.fn(args, cfg, _outdir(args.out))
     except CliError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc),
                           "exit_code": exc.exit_code}), file=sys.stderr)
         return exc.exit_code
-    except (corpus.CorpusError, model.ModelError, train.TrainError,
-            evaluate.EvalError, analysis.AnalysisError) as exc:
+    except MODULE_ERRORS as exc:
         code = EXIT_OVER_LENGTH if isinstance(exc, model.ContextLengthError) else EXIT_BAD_DATA
         print(json.dumps({"error": type(exc).__name__, "message": str(exc),
                           "exit_code": code}), file=sys.stderr)

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 # Segment labels carried per token alongside the token ids.
 PROMPT, COT, ANSWER, PAD_LABEL = 0, 1, 2, 3
-LABEL_NAMES = ("PROMPT", "COT", "ANSWER", "PAD")
 
 REGIMES = ("NATIVE", "PIVOTED", "PIVOT_ONLY")
 SEGMENTS = ("QUESTION", "COT", "ANSWER")
@@ -249,10 +248,7 @@ def build_vocab(languages) -> Vocab:
 def gen_problem(rng_seed: int, max_steps: int = DEFAULT_MAX_STEPS,
                 value_cap: int = DEFAULT_VALUE_CAP) -> Problem:
     """Seeded multi-step integer problem; per-step rejection keeps values in range."""
-    if max_steps < 1:
-        raise CorpusError("max_steps must be >= 1")
-    if not 1 <= value_cap <= VALUE_LIMIT:
-        raise CorpusError(f"value_cap must lie in [1, {VALUE_LIMIT}]")
+    check_settings(max_steps=max_steps, value_cap=value_cap)
     rng = random.Random(rng_seed)
     n_steps = rng.randint(1, max_steps)
     start = rng.randint(0, OPERAND_MAX)
@@ -357,16 +353,26 @@ def make_sample(problem: Problem, regime: str, sid: str, vocab: Vocab, languages
     return _assemble(sid, regime, *texts, vocab)
 
 
-def build_dataset(n_target: int, mix_ratio: float, regime: str, seed: int,
-                  vocab: Vocab, languages, max_steps: int = DEFAULT_MAX_STEPS,
-                  value_cap: int = DEFAULT_VALUE_CAP) -> list:
-    """n_target samples in `regime` plus ceil(mix_ratio * n_target) pivot-only samples."""
+def check_settings(n_target: int = 1, mix_ratio: float = 0.0, regime: str = "PIVOTED",
+                   max_steps: int = DEFAULT_MAX_STEPS, value_cap: int = DEFAULT_VALUE_CAP) -> None:
+    """The bounds on a dataset build; the names are the keys of the config's corpus section."""
     if n_target <= 0:
         raise CorpusError("n_target must be positive")
     if not 0.0 <= mix_ratio <= 1.0:
         raise CorpusError("mix_ratio must lie in [0, 1]")
     if regime not in REGIMES:
         raise CorpusError(f"unknown regime {regime!r}")
+    if max_steps < 1:
+        raise CorpusError("max_steps must be >= 1")
+    if not 1 <= value_cap <= VALUE_LIMIT:
+        raise CorpusError(f"value_cap must lie in [1, {VALUE_LIMIT}]")
+
+
+def build_dataset(n_target: int, mix_ratio: float, regime: str, seed: int,
+                  vocab: Vocab, languages, max_steps: int = DEFAULT_MAX_STEPS,
+                  value_cap: int = DEFAULT_VALUE_CAP) -> list:
+    """n_target samples in `regime` plus ceil(mix_ratio * n_target) pivot-only samples."""
+    check_settings(n_target, mix_ratio, regime, max_steps, value_cap)
     n_mix = 0 if regime == "PIVOT_ONLY" else math.ceil(mix_ratio * n_target)
     base = random.Random(seed)
     samples = []
@@ -380,19 +386,16 @@ def build_dataset(n_target: int, mix_ratio: float, regime: str, seed: int,
     return samples
 
 
+ROW_KEYS = ("id", "regime", "question", "cot", "answer", "question_lang", "cot_lang",
+            "answer_lang")
+
+
 def save_jsonl(samples, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for s in samples:
-            fh.write(json.dumps({
-                "id": s.id,
-                "regime": s.regime,
-                "question": s.question_text,
-                "cot": s.cot_text,
-                "answer": s.answer_text,
-                "question_lang": s.question_lang,
-                "cot_lang": s.cot_lang,
-                "answer_lang": s.answer_lang,
-            }, ensure_ascii=False) + "\n")
+            row = (s.id, s.regime, s.question_text, s.cot_text, s.answer_text,
+                   s.question_lang, s.cot_lang, s.answer_lang)
+            fh.write(json.dumps(dict(zip(ROW_KEYS, row)), ensure_ascii=False) + "\n")
 
 
 def load_jsonl(path: str, vocab: Vocab) -> list:
@@ -403,11 +406,14 @@ def load_jsonl(path: str, vocab: Vocab) -> list:
             if not line.strip():
                 continue
             obj = json.loads(line)
-            s = _assemble(obj["id"], obj["regime"], obj["question"], obj["cot"],
-                          obj["answer"], vocab)
-            stored = (obj["question_lang"], obj["cot_lang"], obj["answer_lang"])
-            if stored != (s.question_lang, s.cot_lang, s.answer_lang):
-                raise CorpusError(f"sample {s.id}: languages {stored} do not match "
+            if not isinstance(obj, dict):
+                raise CorpusError("a dataset row must be a JSON object")
+            sid, regime, q, c, a, *stored = row = [obj[k] for k in ROW_KEYS]
+            if not all(isinstance(v, str) for v in row):
+                raise CorpusError(f"row {sid!r}: every field must be a string")
+            s = _assemble(sid, regime, q, c, a, vocab)
+            if tuple(stored) != (s.question_lang, s.cot_lang, s.answer_lang):
+                raise CorpusError(f"sample {s.id}: languages {tuple(stored)} do not match "
                                   f"regime {s.regime}")
             samples.append(s)
     return samples

@@ -16,7 +16,6 @@ from dataclasses import dataclass, asdict, field
 import numpy as np
 
 LAYER_ROLES = ("att_q", "att_k", "att_v", "att_o", "mlp_up", "mlp_down", "norm1", "norm2")
-GLOBAL_ROLES = ("emb", "pos", "final_norm", "head")
 
 LN_EPS = 1e-5
 _GELU_C = float(np.sqrt(2.0 / np.pi))
@@ -49,11 +48,13 @@ class ModelConfig:
     dtype: str = "float32"
 
     def validate(self) -> None:
-        if self.d_model % self.n_heads != 0:
-            raise ModelError("d_model must be divisible by n_heads")
         for name in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_context"):
             if getattr(self, name) < 1:
                 raise ModelError(f"{name} must be positive")
+        if self.d_model % self.n_heads != 0:
+            raise ModelError("d_model must be divisible by n_heads")
+        if self.rng_seed < 0:
+            raise ModelError("rng_seed must be >= 0")
         if self.dtype not in ("float32", "float64"):
             raise ModelError(f"unsupported dtype {self.dtype!r}")
 

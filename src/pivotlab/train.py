@@ -47,6 +47,10 @@ class TrainConfig:
             raise TrainError("ema_weight must lie in [0, 1)")
         if self.batch_size < 1:
             raise TrainError("batch_size must be >= 1")
+        if self.epochs < 1:
+            raise TrainError("epochs must be >= 1")
+        if len(self.betas) != 2 or not all(0.0 <= b < 1.0 for b in self.betas):
+            raise TrainError("betas must be two values in [0, 1)")
 
 
 @dataclass

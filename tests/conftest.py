@@ -2,10 +2,20 @@ import json
 import os
 import shutil
 import sys
+import tempfile
 
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from pivotlab import corpus, model
+
+# The same examples on every run, and nothing written into the checkout: no
+# example database, and hypothesis's cache of source constants goes to a
+# temporary directory instead of ./.hypothesis.
+settings.register_profile("pivotlab", derandomize=True, database=None, deadline=None)
+settings.load_profile("pivotlab")
+set_hypothesis_home_dir(os.path.join(tempfile.gettempdir(), "pivotlab-hypothesis"))
 
 
 @pytest.fixture
@@ -54,6 +64,8 @@ MALFORMED_ROWS = {
     "answer_lang_unknown": lambda row: {**row, "answer_lang": "FRENCH"},
     "answer_lang_off_regime": lambda row: {**row, "answer_lang": "PIVOT"},
     "separator_inside_cot": lambda row: {**row, "cot": row["cot"].replace(";", "</think>", 1)},
+    "row_not_object": lambda row: list(row.values()),
+    "question_not_string": lambda row: {**row, "question": 5},
 }
 
 

@@ -1,9 +1,11 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pivotlab import cli, corpus, model
 
@@ -14,11 +16,72 @@ TINY_CFG = {
     "model": {"d_model": 8, "n_layers": 2, "n_heads": 2, "d_ff": 16,
               "max_context": 128, "dtype": "float32"},
     "train": {"epochs": 1, "batch_size": 6, "lr": 1e-3},
-    "eval": {"mode": "sample", "max_new_tokens": 24, "n_test": 4},
+    "eval": {"mode": "sample", "max_new_tokens": 24},
     "analysis": {"n_retrieval_items": 4, "scope": "QUESTION_ONLY"},
     "reproduce": {"seeds": [5], "epochs": 1, "n_test": 4},
     "seed": 5,
 }
+
+
+# One way each to break the config schema, laid over TINY_CFG. Each must be
+# rejected with exit 3 before any work. The comment says what `reproduce`
+# does with the value when the config is not checked at load: exit 0 means
+# the value is silently ignored or misread, 1 a traceback, 5 a late
+# rejection as bad data.
+MALFORMED_CONFIGS = {
+    "max_context_string": {"model": {"max_context": "big"}},  # 1
+    "max_context_zero": {"model": {"max_context": 0}},  # 5
+    "n_heads_zero": {"model": {"n_heads": 0}},  # 1
+    "model_key_typo": {"model": {"d_modle": 999}},  # 0
+    "train_key_typo": {"train": {"lr_typo": 1.0}},  # 0
+    "batch_size_zero": {"train": {"batch_size": 0}},  # 5
+    "betas_string": {"train": {"betas": "x"}},  # 1
+    "betas_one_value": {"train": {"betas": [0.9]}},  # 1
+    "epochs_string": {"train": {"epochs": "3"}},  # 0
+    "epochs_bool": {"train": {"epochs": True}},  # 0
+    "reproduce_epochs_zero": {"reproduce": {"epochs": 0}},  # 1
+    "reproduce_n_test_zero": {"reproduce": {"n_test": 0}},  # 5
+    "seeds_string": {"reproduce": {"seeds": "5"}},  # 1
+    "seeds_of_strings": {"reproduce": {"seeds": ["5"]}},  # 1
+    "seeds_empty": {"reproduce": {"seeds": []}},  # 1
+    "seeds_repeated": {"reproduce": {"seeds": [5, 5]}},  # 0, the same seed run twice
+    "seed_negative": {"seed": -1},  # 1
+    "eval_mode_beam": {"reproduce": {"eval_mode": "beam"}},  # 5, after training
+    "nucleus_p_two": {"eval": {"nucleus_p": 2.0}},  # 5, after training
+    "eval_n_test": {"eval": {"n_test": 1}},  # 0
+    "temperature_nan": {"eval": {"temperature": float("nan")}},  # 0
+    "scope_bogus": {"analysis": {"scope": "BOGUS"}},  # 5, after training and evals
+    "retrieval_items_zero": {"analysis": {"n_retrieval_items": 0}},  # 1
+    "mix_ratio_two": {"corpus": {"mix_ratio": 2.0}},  # 5
+}
+
+
+def _tiny_with(override: dict) -> dict:
+    cfg = json.loads(json.dumps(TINY_CFG))
+    for key, value in override.items():
+        if isinstance(value, dict):
+            cfg[key].update(value)
+        else:
+            cfg[key] = value
+    return cfg
+
+
+def _key_paths(cfg: dict, prefix=()) -> list:
+    paths = []
+    for key, value in cfg.items():
+        paths.append(prefix + (key,))
+        if isinstance(value, dict):
+            paths.extend(_key_paths(value, prefix + (key,)))
+    return paths
+
+
+# Python's json also reads NaN and Infinity; st.floats() alone rarely draws them.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from([math.nan, math.inf, -math.inf]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                               max_size=3),
+    max_leaves=6)
 
 
 @pytest.fixture
@@ -69,6 +132,50 @@ class TestConfig:
         with pytest.raises(cli.CliError) as exc:
             cli.load_config("/nonexistent/config.json")
         assert exc.value.exit_code == cli.EXIT_MISSING_FILE
+
+    def test_int_stands_for_float(self, tmp_path):
+        p = tmp_path / "int_lr.json"
+        p.write_text('{"train": {"lr": 1}, "corpus": {"mix_ratio": 0}}')
+        cfg = cli.load_config(str(p))
+        assert cfg["train"]["lr"] == 1 and cfg["corpus"]["mix_ratio"] == 0
+
+    def test_default_config_hash_is_pinned(self):
+        # Changes when any default changes; artifacts carry this hash in `meta`.
+        assert cli.config_hash(cli.load_config(None)) == "9d12fd2e65112273"
+
+    @pytest.mark.parametrize("override", MALFORMED_CONFIGS.values(), ids=MALFORMED_CONFIGS)
+    def test_malformed_config_rejected_before_work(self, tmp_path, capsys, override):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(_tiny_with(override)))
+        out = tmp_path / "repro"
+        rc = cli.main(["reproduce", "--config", str(p), "--out", str(out)])
+        assert rc == cli.EXIT_BAD_CONFIG
+        assert _error_line(capsys)["exit_code"] == cli.EXIT_BAD_CONFIG
+        assert not out.exists()
+
+    @settings(max_examples=1000)  # a value that only one type rule rejects is rare
+    @given(path=st.sampled_from(_key_paths(cli.DEFAULT_CONFIG)), value=JSON_VALUES)
+    def test_any_value_is_taken_as_typed_or_rejected(self, tmp_path_factory, path, value):
+        user = value
+        for key in reversed(path):
+            user = {key: user}
+        p = tmp_path_factory.getbasetemp() / "any_value.json"
+        p.write_text(json.dumps(user))
+        try:
+            cfg = cli.load_config(str(p))
+        except cli.CliError as exc:
+            assert exc.exit_code == cli.EXIT_BAD_CONFIG
+            return
+        default, got = cli.DEFAULT_CONFIG, cfg
+        for key in path:
+            default, got = default[key], got[key]
+        if isinstance(default, dict):
+            assert set(got) == set(default)
+        else:
+            assert got == value
+            assert type(value) is type(default) or (type(default) is float
+                                                    and type(value) is int)
+            assert not isinstance(value, float) or math.isfinite(value)
 
     def test_config_hash_stable_and_order_free(self):
         a = cli.config_hash({"x": 1, "y": {"z": 2}})
