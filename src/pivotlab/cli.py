@@ -17,7 +17,7 @@ import sys
 import time
 import traceback
 
-from . import __version__, analysis, corpus, evaluate, model, train
+from . import __version__, analysis, atomic_open, corpus, evaluate, model, train
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -147,7 +147,7 @@ def _meta(cfg: dict) -> dict:
 def write_json(obj: dict, path: str, cfg: dict) -> None:
     payload = dict(obj)
     payload["meta"] = _meta(cfg)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, ensure_ascii=False)
         fh.write("\n")
     _write_sidecar(path, cfg)
@@ -156,14 +156,14 @@ def write_json(obj: dict, path: str, cfg: dict) -> None:
 def _write_sidecar(path: str, cfg: dict) -> None:
     meta = _meta(cfg)
     meta["created_unix"] = int(time.time())
-    with open(path + ".meta.json", "w", encoding="utf-8") as fh:
+    with atomic_open(path + ".meta.json", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def _write_lines(lines, path: str, cfg: dict) -> None:
     """Text artifact of one line per item (JSONL records, CSV rows)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, encoding="utf-8") as fh:
         for line in lines:
             fh.write(line + "\n")
     _write_sidecar(path, cfg)
@@ -248,8 +248,6 @@ def cmd_eval(args, cfg: dict, out: str) -> int:
     languages, vocab = _setup()
     ckpt = model.load(_require(args.ckpt))
     testset = _load_dataset(args.testset, vocab)
-    if args.cot_lang and args.cot_lang not in ("PIVOT", "TARGET"):
-        raise CliError("--cot-lang must be PIVOT or TARGET", EXIT_BAD_CONFIG)
     # By default only NATIVE testsets expect target traces; `score` rejects an empty one.
     native = bool(testset) and testset[0].regime == "NATIVE"
     cot_lang = args.cot_lang or ("TARGET" if native else "PIVOT")
@@ -490,6 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "cot_lang", None) not in (None, "PIVOT", "TARGET"):
+            raise CliError("--cot-lang must be PIVOT or TARGET", EXIT_BAD_CONFIG)
         cfg = load_config(args.config, args.seed)
         return args.fn(args, cfg, _outdir(args.out))
     except CliError as exc:

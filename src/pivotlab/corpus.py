@@ -15,6 +15,8 @@ import random
 import re
 from dataclasses import dataclass, field
 
+from . import atomic_open
+
 # Segment labels carried per token alongside the token ids.
 PROMPT, COT, ANSWER, PAD_LABEL = 0, 1, 2, 3
 
@@ -220,7 +222,7 @@ class Vocab:
         }
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path, encoding="utf-8") as fh:
             json.dump(self.to_json(), fh, ensure_ascii=False, indent=2, sort_keys=True)
             fh.write("\n")
 
@@ -391,7 +393,7 @@ ROW_KEYS = ("id", "regime", "question", "cot", "answer", "question_lang", "cot_l
 
 
 def save_jsonl(samples, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, encoding="utf-8") as fh:
         for s in samples:
             row = (s.id, s.regime, s.question_text, s.cot_text, s.answer_text,
                    s.question_lang, s.cot_lang, s.answer_lang)

@@ -52,28 +52,25 @@ def item_seed(base_seed: int, item_id: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def candidate_set(logits: np.ndarray, cfg: GenConfig):
-    """Token ids and renormalized probabilities after temperature and nucleus
-    truncation. Sort order breaks probability ties by lowest id."""
-    z = np.asarray(logits, dtype=np.float64) / cfg.temperature
-    z -= z.max()
-    p = np.exp(z)
-    p /= p.sum()
-    order = np.lexsort((np.arange(len(p)), -p))
-    probs = p[order]
-    cum = np.cumsum(probs)
-    cut = int(np.searchsorted(cum, cfg.nucleus_p * cum[-1] - 1e-12)) + 1
-    ids = order[:cut]
-    probs = probs[:cut]
-    return ids, probs / probs.sum()
-
-
-def _pick(logits: np.ndarray, cfg: GenConfig, rng) -> int:
+def _select(logits: np.ndarray, cfg: GenConfig, rngs) -> np.ndarray:
+    """Next token of each row of `logits` (M, V): the argmax, or a draw with rngs[j] from
+    the renormalized nucleus of the tempered softmax (ties in order of id)."""
     if cfg.mode == "greedy":
-        return int(np.argmax(logits))
-    ids, probs = candidate_set(logits, cfg)
-    u = rng.random()
-    return int(ids[np.searchsorted(np.cumsum(probs), u, side="right").clip(0, len(ids) - 1)])
+        return logits.argmax(axis=1)
+    z = logits.astype(np.float64) / cfg.temperature
+    z -= z.max(axis=1, keepdims=True)
+    p = np.exp(z)
+    p /= p.sum(axis=1, keepdims=True)
+    order = np.argsort(-p, axis=1, kind="stable")
+    probs = np.take_along_axis(p, order, axis=1)
+    cum = np.cumsum(probs, axis=1)
+    cut = (cum < cfg.nucleus_p * cum[:, -1:] - 1e-12).sum(axis=1) + 1
+    # each row's kept mass, summed as a slice so the rounding is the per-row one
+    kept = np.array([row[:c].sum() for row, c in zip(probs, cut)])
+    cdf = np.cumsum(probs / kept[:, None], axis=1)
+    u = np.array([rng.random() for rng in rngs])
+    pos = np.minimum((cdf <= u[:, None]).sum(axis=1), cut - 1)
+    return order[np.arange(len(order)), pos]
 
 
 def _segment(prompt, generated, terminated_eos: bool, vocab: corpus.Vocab) -> GenerationResult:
@@ -113,19 +110,18 @@ def generate_batch(ckpt: model.Checkpoint, prompts: list, ids: list, cfg: GenCon
         kv = []
         rngs = [np.random.default_rng(item_seed(cfg.seed, ids[i])) for i in idxs]
         gens = [[] for _ in idxs]
-        done = [False] * len(idxs)
+        done = np.zeros(len(idxs), dtype=bool)
         for step in range(cfg.max_new_tokens):
-            if all(done) or plen + step >= ckpt.config.max_context:
+            live = np.flatnonzero(~done)
+            if not live.size or plen + step >= ckpt.config.max_context:
                 break
             logits = model.forward(ckpt, feed, need_cache=False, kv=kv).logits[:, -1]
-            nxt = [vocab.pad] * len(idxs)
-            for j in range(len(idxs)):
-                if done[j]:
-                    continue
-                nxt[j] = _pick(logits[j], cfg, rngs[j])
-                gens[j].append(nxt[j])
-                done[j] = nxt[j] == vocab.eos
-            feed = np.asarray(nxt, dtype=np.int64)[:, None]
+            picks = _select(logits[live], cfg, [rngs[j] for j in live])
+            for j, tok in zip(live, picks.tolist()):
+                gens[j].append(tok)
+            done[live] = picks == vocab.eos
+            feed = np.full((len(idxs), 1), vocab.pad, dtype=np.int64)
+            feed[live, 0] = picks
         for j, idx in enumerate(idxs):
             results[idx] = _segment(prompts[idx], gens[j], done[j], vocab)
     return results

@@ -15,6 +15,8 @@ from dataclasses import dataclass, asdict, field
 
 import numpy as np
 
+from . import atomic_open
+
 LAYER_ROLES = ("att_q", "att_k", "att_v", "att_o", "mlp_up", "mlp_down", "norm1", "norm2")
 
 LN_EPS = 1e-5
@@ -22,6 +24,10 @@ _GELU_C = float(np.sqrt(2.0 / np.pi))
 _GELU_A = 0.044715
 
 CHECKPOINT_MAGIC = "pivotlab-checkpoint-v1"
+
+# The two threads of a split batch: they start on first use and then stay. Its
+# tasks never submit to it, so callers in several threads cannot deadlock it.
+_POOL = ThreadPoolExecutor(2)
 
 
 class ModelError(Exception):
@@ -149,37 +155,56 @@ class ForwardTrace:
     halves: list = field(default_factory=list)  # a split batch's two row-half traces
 
 
+# These kernels write into arrays they own, but run the floating-point operations of
+# the plain versions in tests/oracles.py in the same order, so the bits are the same.
+
 def _layernorm_forward(x, w):
-    gain, shift = w[0], w[1]
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    return gain * xhat + shift, xhat, inv
+    """(gain * xhat + shift, xhat, 1 / sqrt(var + eps)) over the last axis of x."""
+    d = x.shape[-1]
+    xhat = x - x.sum(axis=-1, keepdims=True) / d
+    y = np.multiply(xhat, xhat)
+    inv = 1.0 / np.sqrt(y.sum(axis=-1, keepdims=True) / d + LN_EPS)
+    xhat *= inv
+    np.multiply(xhat, w[0], out=y)
+    y += w[1]
+    return y, xhat, inv
 
 
 def _layernorm_backward(dy, w, xhat, inv):
-    gain = w[0]
-    dgain = (dy * xhat).sum(axis=(0, 1))
-    dshift = dy.sum(axis=(0, 1))
-    dxhat = dy * gain
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = inv * (dxhat - m1 - xhat * m2)
-    dw = np.stack([dgain, dshift])
-    return dx, dw
+    """(dx, dw) of _layernorm_forward; dx is written over dy."""
+    tmp = dy * xhat
+    dw = np.stack([tmp.sum(axis=(0, 1)), dy.sum(axis=(0, 1))])
+    dy *= w[0]
+    m1 = dy.sum(axis=-1, keepdims=True) / dy.shape[-1]
+    m2 = np.multiply(dy, xhat, out=tmp).sum(axis=-1, keepdims=True) / dy.shape[-1]
+    dy -= m1
+    dy -= np.multiply(xhat, m2, out=tmp)
+    dy *= inv
+    return dy, dw
 
 
 def _gelu(u):
-    inner = _GELU_C * (u + _GELU_A * u * u * u)
-    t = np.tanh(inner)
-    return 0.5 * u * (1.0 + t), t
-
-
-def _gelu_backward(du_out, u, t):
-    sech2 = 1.0 - t * t
-    return du_out * (0.5 * (1.0 + t) + 0.5 * u * sech2 * _GELU_C * (1.0 + 3.0 * _GELU_A * u * u))
+    """(GELU(u), GELU'(u)), tanh form; the derivative is kept for the backward pass."""
+    t = np.multiply(u, _GELU_A)
+    t *= u
+    t *= u
+    t += u
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    gp = np.multiply(t, t)
+    np.subtract(1.0, gp, out=gp)
+    g = np.multiply(u, 0.5)
+    gp *= g
+    gp *= _GELU_C
+    poly = np.multiply(u, 3.0 * _GELU_A)
+    poly *= u
+    poly += 1.0
+    gp *= poly
+    t += 1.0
+    g *= t
+    t *= 0.5
+    gp += t
+    return g, gp
 
 
 def _outer(x, y):
@@ -197,10 +222,12 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * hd)
 
 
-def _softmax(x, axis=-1):
-    z = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+def _softmax(x):
+    """Softmax over the last axis, written over x."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 def forward(ckpt: Checkpoint, tokens, need_cache: bool = True, kv: list | None = None) -> ForwardTrace:
@@ -237,9 +264,8 @@ def forward(ckpt: Checkpoint, tokens, need_cache: bool = True, kv: list | None =
         # Two fixed row halves on two threads; numpy releases the GIL in BLAS
         # and ufuncs, so they overlap. The split depends only on the shape.
         mid = (b + 1) // 2
-        with ThreadPoolExecutor(2) as pool:
-            halves = list(pool.map(lambda rows: _forward_rows(ckpt, rows, 0, None, True),
-                                   (tok[:mid], tok[mid:])))
+        halves = list(_POOL.map(lambda rows: _forward_rows(ckpt, rows, 0, None, True),
+                                (tok[:mid], tok[mid:])))
         return ForwardTrace(
             logits=np.concatenate([h.logits for h in halves]),
             hidden_states=[np.concatenate(hs) for hs in zip(*(h.hidden_states for h in halves))],
@@ -249,15 +275,14 @@ def forward(ckpt: Checkpoint, tokens, need_cache: bool = True, kv: list | None =
 
 def _forward_rows(ckpt: Checkpoint, tok, t0: int, kv, need_cache: bool) -> ForwardTrace:
     """The layer loop over a validated (B, T) batch."""
-    cfg = ckpt.config
+    cfg, p = ckpt.config, ckpt.params
     t = tok.shape[1]
-    p = ckpt.params
     dt = cfg.np_dtype()
     scale = dt(cfg.head_dim ** -0.5)
-    neg = -np.inf
-    causal = np.triu(np.full((t, t0 + t), neg, dtype=dt), k=t0 + 1)
+    causal = np.triu(np.full((t, t0 + t), -np.inf, dtype=dt), k=t0 + 1)
 
-    h = p["emb"][tok] + p["pos"][t0:t0 + t][None, :, :]
+    h = p["emb"][tok]
+    h += p["pos"][t0:t0 + t]
     hidden = [h]
     caches = []
     for i in range(cfg.n_layers):
@@ -273,29 +298,25 @@ def _forward_rows(ckpt: Checkpoint, tok, t0: int, kv, need_cache: bool) -> Forwa
                 kv[i] = (k, v)
             else:
                 kv.append((k, v))
-        s = q @ k.transpose(0, 1, 3, 2) * scale + causal
+        s = q @ k.transpose(0, 1, 3, 2)
+        s *= scale
+        s += causal
         att = _softmax(s)
         ctx = _merge_heads(att @ v)
-        h_mid = h + ctx @ p[lp + "att_o"]
+        h_mid = ctx @ p[lp + "att_o"]
+        h_mid += h
         m_in, xhat2, inv2 = _layernorm_forward(h_mid, p[lp + "norm2"])
-        u = m_in @ p[lp + "mlp_up"]
-        g, tanh_u = _gelu(u)
-        h = h_mid + g @ p[lp + "mlp_down"]
+        g, gp = _gelu(m_in @ p[lp + "mlp_up"])
+        h = g @ p[lp + "mlp_down"]
+        h += h_mid
         hidden.append(h)
         if need_cache:
-            caches.append({
-                "a": a, "xhat1": xhat1, "inv1": inv1,
-                "q": q, "k": k, "v": v, "att": att, "ctx": ctx,
-                "h_mid": h_mid, "m_in": m_in, "xhat2": xhat2, "inv2": inv2,
-                "u": u, "g": g, "tanh_u": tanh_u,
-            })
+            caches.append(dict(a=a, xhat1=xhat1, inv1=inv1, q=q, k=k, v=v, att=att, ctx=ctx,
+                               m_in=m_in, xhat2=xhat2, inv2=inv2, g=g, gp=gp))
     f, xhat_f, inv_f = _layernorm_forward(h, p["final_norm"])
-    logits = f @ p["head"]
     final_cache = {"f": f, "xhat_f": xhat_f, "inv_f": inv_f} if need_cache else {}
-    return ForwardTrace(
-        logits=logits, hidden_states=hidden, tokens=tok,
-        caches=caches, final_cache=final_cache, checkpoint=ckpt,
-    )
+    return ForwardTrace(logits=f @ p["head"], hidden_states=hidden, tokens=tok,
+                        caches=caches, final_cache=final_cache, checkpoint=ckpt)
 
 
 def backward(ckpt: Checkpoint, trace: ForwardTrace, dlogits) -> dict:
@@ -308,8 +329,7 @@ def backward(ckpt: Checkpoint, trace: ForwardTrace, dlogits) -> dict:
     if not trace.halves:
         return _backward(ckpt, trace, dl)
     mid = trace.halves[0].tokens.shape[0]
-    with ThreadPoolExecutor(2) as pool:
-        g0, g1 = pool.map(_backward, (ckpt, ckpt), trace.halves, (dl[:mid], dl[mid:]))
+    g0, g1 = _POOL.map(_backward, (ckpt, ckpt), trace.halves, (dl[:mid], dl[mid:]))
     return {path: g0[path] + g1[path] for path in g0}
 
 
@@ -318,56 +338,52 @@ def _backward(ckpt: Checkpoint, trace: ForwardTrace, dl) -> dict:
         raise ModelError("trace was not produced by this checkpoint")
     if not trace.caches:
         raise ModelError("trace has no cached activations (forward with need_cache=True)")
-    cfg = ckpt.config
-    p = ckpt.params
+    cfg, p = ckpt.config, ckpt.params
     tok = trace.tokens
     b, t = tok.shape
     scale = cfg.head_dim ** -0.5
-    grads = {}
 
     fc = trace.final_cache
-    grads["head"] = _outer(fc["f"], dl)
-    df = dl @ p["head"].T
-    dh, grads["final_norm"] = _layernorm_backward(df, p["final_norm"], fc["xhat_f"], fc["inv_f"])
+    grads = {"head": _outer(fc["f"], dl)}
+    dh, grads["final_norm"] = _layernorm_backward(dl @ p["head"].T, p["final_norm"],
+                                                  fc["xhat_f"], fc["inv_f"])
 
     for i in reversed(range(cfg.n_layers)):
         lp = f"L{i}."
         c = trace.caches[i]
         # MLP branch
-        ddn = dh
-        grads[lp + "mlp_down"] = _outer(c["g"], ddn)
-        dg = ddn @ p[lp + "mlp_down"].T
-        du = _gelu_backward(dg, c["u"], c["tanh_u"])
+        grads[lp + "mlp_down"] = _outer(c["g"], dh)
+        du = dh @ p[lp + "mlp_down"].T
+        du *= c["gp"]
         grads[lp + "mlp_up"] = _outer(c["m_in"], du)
-        dm_in = du @ p[lp + "mlp_up"].T
-        dh_mid_ln, grads[lp + "norm2"] = _layernorm_backward(dm_in, p[lp + "norm2"], c["xhat2"], c["inv2"])
-        dh_mid = dh + dh_mid_ln
+        dx_ln, grads[lp + "norm2"] = _layernorm_backward(du @ p[lp + "mlp_up"].T, p[lp + "norm2"],
+                                                         c["xhat2"], c["inv2"])
+        dh += dx_ln
         # attention branch
-        do = dh_mid
-        grads[lp + "att_o"] = _outer(c["ctx"], do)
-        dctx = _split_heads(do @ p[lp + "att_o"].T, cfg.n_heads)
-        datt = dctx @ c["v"].transpose(0, 1, 3, 2)
+        grads[lp + "att_o"] = _outer(c["ctx"], dh)
+        dctx = _split_heads(dh @ p[lp + "att_o"].T, cfg.n_heads)
+        ds = dctx @ c["v"].transpose(0, 1, 3, 2)
         dv = c["att"].transpose(0, 1, 3, 2) @ dctx
-        ds = c["att"] * (datt - (datt * c["att"]).sum(axis=-1, keepdims=True))
-        dq = ds @ c["k"] * scale
-        dk = ds.transpose(0, 1, 3, 2) @ c["q"] * scale
+        ds -= (ds * c["att"]).sum(axis=-1, keepdims=True)
+        ds *= c["att"]
+        dq = ds @ c["k"]
+        dq *= scale
+        dk = ds.transpose(0, 1, 3, 2) @ c["q"]
+        dk *= scale
         mdq, mdk, mdv = _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
-        da = (
-            mdq @ p[lp + "att_q"].T
-            + mdk @ p[lp + "att_k"].T
-            + mdv @ p[lp + "att_v"].T
-        )
+        da = mdq @ p[lp + "att_q"].T
+        da += mdk @ p[lp + "att_k"].T
+        da += mdv @ p[lp + "att_v"].T
         grads[lp + "att_q"] = _outer(c["a"], mdq)
         grads[lp + "att_k"] = _outer(c["a"], mdk)
         grads[lp + "att_v"] = _outer(c["a"], mdv)
         dx_ln, grads[lp + "norm1"] = _layernorm_backward(da, p[lp + "norm1"], c["xhat1"], c["inv1"])
-        dh = dh_mid + dx_ln
+        dh += dx_ln
 
     grads["pos"] = np.zeros_like(p["pos"])
     grads["pos"][:t] = dh.sum(axis=0)
-    demb = np.zeros_like(p["emb"])
-    np.add.at(demb, tok.reshape(-1), dh.reshape(b * t, -1))
-    grads["emb"] = demb
+    grads["emb"] = np.zeros_like(p["emb"])
+    np.add.at(grads["emb"], tok.reshape(-1), dh.reshape(b * t, -1))
     return grads
 
 
@@ -394,7 +410,7 @@ def save(ckpt: Checkpoint, path: str) -> None:
         "payload_bytes": offset,
         "tensors": tensors,
     }
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(json.dumps(manifest, sort_keys=True).encode("utf-8") + b"\n")
         for raw in blobs:
             fh.write(raw)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import corpus, model
+from . import atomic_open, corpus, model
 from .corpus import COT, ANSWER, PAD_LABEL
 
 
@@ -225,7 +225,7 @@ def train(dataset, ckpt: model.Checkpoint, cfg: TrainConfig, vocab: corpus.Vocab
 
 
 def write_log_csv(rows, path: str) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.DictWriter(
             fh, fieldnames=["step", "epoch", "loss_cot", "loss_answer", "loss_total",
                             "ema_cot", "ema_answer"])

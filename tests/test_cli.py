@@ -7,7 +7,8 @@ import subprocess
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pivotlab import cli, corpus, model
+import pivotlab
+from pivotlab import cli, corpus, model, train
 
 
 TINY_CFG = {
@@ -292,6 +293,14 @@ class TestEvalCommand:
                        "--cot-lang", "FRENCH"])
         assert rc == cli.EXIT_BAD_CONFIG
 
+    def test_bad_cot_lang_checked_before_any_load(self, tmp_path, capsys):
+        out = tmp_path / "e5"
+        rc = cli.main(["eval", "--out", str(out), "--ckpt", "/nope.ckpt",
+                       "--testset", "/nope.jsonl", "--cot-lang", "FRENCH"])
+        assert rc == cli.EXIT_BAD_CONFIG
+        assert _error_line(capsys)["exit_code"] == cli.EXIT_BAD_CONFIG
+        assert not out.exists()
+
     def test_missing_checkpoint(self, workspace):
         rc = cli.main(["eval", "--config", workspace["cfg"],
                        "--out", str(workspace["tmp"] / "e4"),
@@ -322,6 +331,57 @@ class TestEvalCommand:
                        "--testset", malformed_dataset])
         assert rc == cli.EXIT_BAD_DATA
         assert _error_line(capsys)["exit_code"] == cli.EXIT_BAD_DATA
+
+
+class _DiskFull:
+    """A real file whose second write fails, as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 2:
+            raise OSError(28, "No space left on device")
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+class TestAtomicWrites:
+    """A write that fails midway leaves the old file as it was and no temporary file."""
+
+    def test_every_writer(self, tmp_path, vocab, languages, tiny_ckpt, monkeypatch):
+        cfg = cli.load_config(None)
+        samples = [corpus.make_sample(corpus.gen_problem(i), "PIVOTED", f"s-{i}", vocab,
+                                      languages) for i in range(3)]
+        rows = [{"step": n, "epoch": 1, "loss_cot": 1.0, "loss_answer": 1.0, "loss_total": 2.0,
+                 "ema_cot": 1.0, "ema_answer": 1.0} for n in range(3)]
+        writers = {
+            "checkpoint": lambda p: model.save(tiny_ckpt, p),
+            "vocab": vocab.save,
+            "jsonl": lambda p: corpus.save_jsonl(samples, p),
+            "csv": lambda p: train.write_log_csv(rows, p),
+            "lines": lambda p: cli._write_lines(["a", "b", "c"], p, cfg),
+            "json": lambda p: cli.write_json({"a": [1, 2, 3]}, p, cfg),
+            "sidecar": lambda p: cli._write_sidecar(p[:-len(".meta.json")], cfg),
+        }
+        for name, write in writers.items():
+            path = tmp_path / name / ("artifact.meta.json" if name == "sidecar" else "artifact")
+            path.parent.mkdir()
+            write(str(path))
+            before = {f: f.read_bytes() for f in path.parent.iterdir()}
+            assert path in before, name
+            with monkeypatch.context() as m:
+                m.setattr(pivotlab, "open", lambda *a, **k: _DiskFull(open(*a, **k)),
+                          raising=False)
+                with pytest.raises(OSError):
+                    write(str(path))
+            assert {f: f.read_bytes() for f in path.parent.iterdir()} == before, name
 
 
 class TestAnalysisCommands:

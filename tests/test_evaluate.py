@@ -10,31 +10,34 @@ import oracles
 
 
 class TestCandidateSet:
+    """The one-row reference selection of tests/oracles.py; TestSelect holds the
+    batched production selection to it."""
+
     def test_nucleus_cut_on_known_distribution(self):
         # probs after softmax of log([0.5, 0.3, 0.15, 0.05]) at T=1
         logits = np.log(np.array([0.5, 0.3, 0.15, 0.05]))
         cfg = evaluate.GenConfig(mode="sample", temperature=1.0, nucleus_p=0.8, seed=0)
-        ids, probs = evaluate.candidate_set(logits, cfg)
+        ids, probs = oracles.candidate_set(logits, cfg)
         assert list(ids) == [0, 1]
         assert probs == pytest.approx([0.5 / 0.8, 0.3 / 0.8])
 
     def test_nucleus_boundary_inclusive(self):
         logits = np.log(np.array([0.5, 0.3, 0.2]))
         cfg = evaluate.GenConfig(temperature=1.0, nucleus_p=0.5, seed=0)
-        ids, probs = evaluate.candidate_set(logits, cfg)
+        ids, probs = oracles.candidate_set(logits, cfg)
         assert list(ids) == [0]
         assert probs == pytest.approx([1.0])
 
     def test_probability_ties_break_to_lowest_id(self):
         logits = np.zeros(5)
         cfg = evaluate.GenConfig(temperature=1.0, nucleus_p=0.4, seed=0)
-        ids, _ = evaluate.candidate_set(logits, cfg)
+        ids, _ = oracles.candidate_set(logits, cfg)
         assert list(ids) == [0, 1]
 
     def test_temperature_sharpens(self):
         logits = np.array([2.0, 1.0, 0.0])
-        hot = evaluate.candidate_set(logits, evaluate.GenConfig(temperature=2.0, nucleus_p=1.0, seed=0))[1]
-        cold = evaluate.candidate_set(logits, evaluate.GenConfig(temperature=0.5, nucleus_p=1.0, seed=0))[1]
+        hot = oracles.candidate_set(logits, evaluate.GenConfig(temperature=2.0, nucleus_p=1.0, seed=0))[1]
+        cold = oracles.candidate_set(logits, evaluate.GenConfig(temperature=0.5, nucleus_p=1.0, seed=0))[1]
         assert cold[0] > hot[0]
 
     def test_full_nucleus_matches_softmax_frequencies(self):
@@ -46,7 +49,7 @@ class TestCandidateSet:
         n = 10_000
         counts = np.zeros(3)
         for _ in range(n):
-            counts[evaluate._pick(logits, cfg, rng)] += 1
+            counts[oracles._pick(logits, cfg, rng)] += 1
         chi2 = float(((counts - n * expected) ** 2 / (n * expected)).sum())
         # df=2, p=0.999 critical value ~ 13.8
         assert chi2 < 13.8
@@ -58,6 +61,67 @@ class TestCandidateSet:
             evaluate.GenConfig(nucleus_p=0.0).validate()
         with pytest.raises(evaluate.EvalError):
             evaluate.GenConfig(mode="beam").validate()
+
+
+class FixedDraws:
+    """Stands in for a generator: `random()` returns the given values in turn."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
+class TestSelect:
+    """Batched selection picks what the per-row oracle picks, draw for draw."""
+
+    CONFIGS = [evaluate.GenConfig(mode="greedy"),
+               evaluate.GenConfig(mode="sample"),
+               evaluate.GenConfig(mode="sample", temperature=1.0, nucleus_p=0.5),
+               evaluate.GenConfig(mode="sample", temperature=1.5, nucleus_p=1.0)]
+
+    @staticmethod
+    def logits_with_ties(rng, m, v):
+        logits = rng.normal(scale=3.0, size=(m, v)).astype(np.float32)
+        logits[0] = 0.0                            # all tied
+        logits[1, ::2] = logits[1, 0]              # half tied with the top
+        logits[2] = np.round(logits[2])            # many small tie groups
+        logits[3, :4] = np.log([0.5, 0.3, 0.15, 0.05])
+        logits[3, 4:] = -np.inf                    # mass 0.5 / 0.8 sits on the cut
+        return logits
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"{c.mode}-{c.temperature}-{c.nucleus_p}")
+    def test_matches_per_row_pick(self, cfg):
+        rng = np.random.default_rng(5)
+        seeds = range(7)
+        batched = [np.random.default_rng(s) for s in seeds]
+        per_row = [np.random.default_rng(s) for s in seeds]
+        for step in range(200):
+            logits = self.logits_with_ties(rng, len(batched), 46)
+            live = np.flatnonzero(rng.random(len(batched)) < 0.8)  # rows that are still going
+            got = evaluate._select(logits[live], cfg, [batched[j] for j in live])
+            want = [oracles._pick(logits[j], cfg, per_row[j]) for j in live]
+            assert got.tolist() == want, step
+        assert [g.random() for g in batched] == [g.random() for g in per_row]
+
+    def test_draws_on_the_cdf_steps(self):
+        """A draw on a cumulative probability, or one ulp either side of it, picks what
+        the oracle picks; so the renormalized probabilities agree to the last bit."""
+        rng = np.random.default_rng(8)
+        logits = np.concatenate([np.log(np.array([[0.5, 0.3, 0.15, 0.05] + [1e-300] * 42,
+                                                  [1.0] * 46])),
+                                 rng.normal(size=(6, 46))])
+        for nucleus_p in (1.0, 0.95, 0.8, 0.5):
+            cfg = evaluate.GenConfig(temperature=0.6, nucleus_p=nucleus_p)
+            for row in logits:
+                _, probs = oracles.candidate_set(row, cfg)
+                steps = np.cumsum(probs)
+                draws = [0.0, *steps, *np.nextafter(steps, 0.0), *np.nextafter(steps, 2.0),
+                         np.nextafter(1.0, 0.0)]
+                got = [int(evaluate._select(row[None], cfg, [FixedDraws([u])])[0])
+                       for u in draws]
+                assert got == [oracles._pick(row, cfg, FixedDraws([u])) for u in draws]
 
 
 class TestSegmentation:

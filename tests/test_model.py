@@ -1,11 +1,16 @@
 import gc
 import json
 import math
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from pivotlab import model
+
+import oracles
 
 
 def finite_difference_grads(ckpt, tokens, dlogits, paths, eps=1e-5):
@@ -77,11 +82,14 @@ class TestConfigAndPaths:
 
 
 class TestPrimitives:
+    """The reference primitives of tests/oracles.py against their definitions;
+    TestMatchesOracle holds the in-place production kernels to them bit for bit."""
+
     def test_layernorm_forward_oracle(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(3, 5, 8))
         w = np.stack([rng.normal(size=8) + 1.0, rng.normal(size=8)])
-        y, _, _ = model._layernorm_forward(x, w)
+        y, _, _ = oracles._layernorm_forward(x, w)
         mean = x.mean(-1, keepdims=True)
         var = x.var(-1, keepdims=True)
         expected = (x - mean) / np.sqrt(var + 1e-5) * w[0] + w[1]
@@ -95,11 +103,11 @@ class TestPrimitives:
         dy = rng.normal(size=x.shape)
 
         def loss(xv):
-            y, _, _ = model._layernorm_forward(xv, w)
+            y, _, _ = oracles._layernorm_forward(xv, w)
             return float(np.sum(y * dy))
 
-        _, xhat, inv = model._layernorm_forward(x, w)
-        dx, _ = model._layernorm_backward(dy, w, xhat, inv)
+        _, xhat, inv = oracles._layernorm_forward(x, w)
+        dx, _ = oracles._layernorm_backward(dy, w, xhat, inv)
         eps = 1e-6
         fd = np.zeros_like(x)
         it = np.nditer(x, flags=["multi_index"])
@@ -116,16 +124,51 @@ class TestPrimitives:
 
     def test_gelu_matches_tanh_definition(self):
         u = np.linspace(-4, 4, 101)
-        y, _ = model._gelu(u)
+        y, _ = oracles._gelu(u)
         expected = 0.5 * u * (1 + np.tanh(math.sqrt(2 / math.pi) * (u + 0.044715 * u**3)))
         assert np.allclose(y, expected, atol=1e-12)
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(3, 7)) * 30
-        p = model._softmax(x)
+        p = oracles._softmax(x)
         assert np.allclose(p.sum(-1), 1.0)
         assert np.all(p >= 0)
+
+
+class TestMatchesOracle:
+    """Production forward and backward equal the plain oracle bit for bit."""
+
+    @staticmethod
+    def check(ckpt, b, t, seed):
+        rng = np.random.default_rng(seed)
+        for path, w in ckpt.params.items():  # norms off identity, so gain and shift count
+            if "norm" in path:
+                ckpt.params[path] = (w + rng.normal(scale=0.2, size=w.shape)).astype(w.dtype)
+        tokens = rng.integers(0, ckpt.config.vocab_size, size=(b, t))
+        dlogits = rng.normal(size=(b, t, ckpt.config.vocab_size)).astype(ckpt.config.np_dtype())
+        trace = model.forward(ckpt, tokens)
+        logits, hidden = oracles.forward(ckpt, tokens)
+        assert np.array_equal(trace.logits, logits)
+        assert len(trace.hidden_states) == len(hidden)
+        for got, want in zip(trace.hidden_states, hidden):
+            assert np.array_equal(got, want)
+        grads = model.backward(ckpt, trace, dlogits)
+        want = oracles.backward(ckpt, tokens, dlogits)
+        assert set(grads) == set(want)
+        for path in want:
+            assert grads[path].dtype == want[path].dtype, path
+            assert np.array_equal(grads[path], want[path]), path
+
+    @pytest.mark.parametrize("b", [24, 5, 1])
+    def test_default_shape_float32(self, vocab, b):
+        ckpt = model.init(model.ModelConfig(vocab_size=len(vocab), rng_seed=7))
+        assert ckpt.config.dtype == "float32"
+        self.check(ckpt, b, 71 if b == 24 else 23, seed=b)
+
+    @pytest.mark.parametrize("b", [4, 1])
+    def test_tiny_float64(self, tiny_ckpt, b):
+        self.check(tiny_ckpt, b, 9, seed=100 + b)
 
 
 class TestForward:
@@ -328,6 +371,61 @@ class TestBatchSplit:
         fd = finite_difference_grads(ckpt, tokens, dlogits, model.param_paths(tiny_config))
         worst = max(rel_err(grads[path], fd[path]) for path in fd)
         assert worst < 1e-4
+
+
+class TestPool:
+    """Split batches share one persistent two-thread pool."""
+
+    @staticmethod
+    def step(ckpt, tokens, dlogits):
+        trace = model.forward(ckpt, tokens)
+        return trace.logits, model.backward(ckpt, trace, dlogits)
+
+    def test_import_starts_no_thread(self):
+        code = "import threading, pivotlab.cli; print(threading.active_count())"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.strip() == "1"
+
+    def test_threads_do_not_pile_up(self, tiny_ckpt):
+        rng = np.random.default_rng(3)
+        tokens = rng.integers(0, tiny_ckpt.config.vocab_size, size=(3, 6))
+        dlogits = rng.normal(size=(3, 6, tiny_ckpt.config.vocab_size))
+        start = threading.active_count()
+        for _ in range(50):
+            self.step(tiny_ckpt, tokens, dlogits)
+        assert threading.active_count() <= start + 2
+
+    def test_concurrent_callers_get_sequential_bits(self, tiny_ckpt):
+        """More callers than pool threads, switching often, all stepping at once."""
+        rng = np.random.default_rng(4)
+        jobs = [(rng.integers(0, tiny_ckpt.config.vocab_size, size=(b, 8)),
+                 rng.normal(size=(b, 8, tiny_ckpt.config.vocab_size))) for b in (3, 4, 5)]
+        want = [self.step(tiny_ckpt, *job) for job in jobs]
+        got = [[] for _ in jobs]
+        barrier = threading.Barrier(len(jobs))
+
+        def caller(k):
+            barrier.wait()
+            for _ in range(10):
+                got[k].append(self.step(tiny_ckpt, *jobs[k]))
+
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for k, (logits, grads) in enumerate(want):
+            assert len(got[k]) == 10
+            for got_logits, got_grads in got[k]:
+                assert np.array_equal(got_logits, logits)
+                assert all(np.array_equal(got_grads[path], grads[path]) for path in grads)
 
 
 class TestCheckpointIO:
