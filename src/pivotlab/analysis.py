@@ -90,7 +90,7 @@ def _all_layer_embeddings(ckpt, items, scope, vocab, max_new_tokens):
         seqs = [s + r.cot_segment for s, r in zip(seqs, results)]
     per_layer = [[] for _ in range(ckpt.config.n_layers + 1)]
     for (iid, _), seq in zip(items, seqs):
-        trace = model.forward(ckpt, seq, need_cache=False)
+        trace = model.forward(ckpt, seq)
         for layer, h in enumerate(trace.hidden_states):
             per_layer[layer].append((iid, h[0].mean(axis=0)))
     return per_layer

@@ -238,6 +238,8 @@ def cmd_train(args, cfg: dict, out: str) -> int:
                                         rng_seed=cfg["seed"]))
     tcfg = train.TrainConfig(**cfg["train"], seed=cfg["seed"])
     ckpt, rows = train.train(dataset, ckpt, tcfg, vocab, checkpoint_dir=out)
+    for epoch in range(1, tcfg.epochs + 1):
+        _write_sidecar(os.path.join(out, f"epoch{epoch}.ckpt"), cfg)
     ckpt_path = os.path.join(out, "final.ckpt")
     _save_training(ckpt, rows, ckpt_path, os.path.join(out, "train_log.csv"), cfg)
     print(f"trained {len(rows)} steps; checkpoint at {ckpt_path}")
@@ -334,8 +336,9 @@ def _ema_cot_at(rows: list, step: int) -> float:
     return rows[min(step, len(rows)) - 1]["ema_cot"]
 
 
-def _run_seed(cfg: dict, vocab, languages, seed: int, out: str) -> dict:
-    """One full experiment at one seed: three trainings plus all probes."""
+def _run_seed(cfg: dict, vocab, languages, out: str) -> dict:
+    """One full experiment at the config's seed: three trainings plus all probes."""
+    seed = cfg["seed"]
     pivot, target = languages
     c, rcfg = cfg["corpus"], cfg["reproduce"]
     n_test = rcfg["n_test"]
@@ -439,7 +442,7 @@ def cmd_reproduce(args, cfg: dict, out: str) -> int:
     for seed in seeds:
         seed_dir = os.path.join(out, f"seed{seed}")
         os.makedirs(seed_dir, exist_ok=True)
-        outcomes.append(_run_seed(cfg, vocab, languages, seed, seed_dir))
+        outcomes.append(_run_seed({**cfg, "seed": seed}, vocab, languages, seed_dir))
     combined = {
         "seeds": seeds,
         "outcomes": outcomes,

@@ -115,7 +115,7 @@ def generate_batch(ckpt: model.Checkpoint, prompts: list, ids: list, cfg: GenCon
             live = np.flatnonzero(~done)
             if not live.size or plen + step >= ckpt.config.max_context:
                 break
-            logits = model.forward(ckpt, feed, need_cache=False, kv=kv).logits[:, -1]
+            logits = model.forward(ckpt, feed, kv=kv).logits[:, -1]
             picks = _select(logits[live], cfg, [rngs[j] for j in live])
             for j, tok in zip(live, picks.tolist()):
                 gens[j].append(tok)

@@ -151,7 +151,7 @@ class ForwardTrace:
     tokens: np.ndarray          # (B, T)
     caches: list                # per-layer dicts of cached activations
     final_cache: dict
-    checkpoint: Checkpoint      # the producer; backward accepts no other
+    checkpoint: Checkpoint      # the producer, whose parameters backward differentiates
     halves: list = field(default_factory=list)  # a split batch's two row-half traces
 
 
@@ -183,17 +183,21 @@ def _layernorm_backward(dy, w, xhat, inv):
     return dy, dw
 
 
-def _gelu(u):
-    """(GELU(u), GELU'(u)), tanh form; the derivative is kept for the backward pass."""
+def _gelu(u, _with_grad=True):
+    """(GELU(u), GELU'(u) for the backward pass, or None without `_with_grad`), tanh form."""
     t = np.multiply(u, _GELU_A)
     t *= u
     t *= u
     t += u
     t *= _GELU_C
     np.tanh(t, out=t)
+    g = np.multiply(u, 0.5)
+    if not _with_grad:
+        t += 1.0
+        g *= t
+        return g, None
     gp = np.multiply(t, t)
     np.subtract(1.0, gp, out=gp)
-    g = np.multiply(u, 0.5)
     gp *= g
     gp *= _GELU_C
     poly = np.multiply(u, 3.0 * _GELU_A)
@@ -230,19 +234,19 @@ def _softmax(x):
     return x
 
 
-def forward(ckpt: Checkpoint, tokens, need_cache: bool = True, kv: list | None = None) -> ForwardTrace:
+def forward(ckpt: Checkpoint, tokens, kv: list | None = None) -> ForwardTrace:
     """Causal forward pass. Accepts a single id sequence or a (B, T) batch.
 
-    `kv` turns on incremental decoding: a per-layer list of (k, v) arrays of
-    shape (B, n_heads, t0, head_dim) for positions 0..t0-1 (an empty list for
-    t0 = 0). The tokens are then positions t0..t0+T-1, attend to the cached
-    prefix, and their keys and values are appended to `kv` in place; the
-    trace covers the new positions only. Backward cannot run through a cached
-    prefix, so `kv` requires need_cache=False.
+    Without `kv` the trace keeps what `backward` needs, and B >= 2 rows run as
+    two fixed row halves, [:ceil(B/2)] and [ceil(B/2):], on two threads; the
+    trace concatenates their logits and hidden states and keeps each half's
+    trace in `halves`.
 
-    With need_cache=True a batch of B >= 2 rows runs as two fixed row halves,
-    [:ceil(B/2)] and [ceil(B/2):], on two threads; the trace concatenates
-    their logits and hidden states and keeps each half's trace in `halves`.
+    With `kv`, a per-layer list of (k, v) arrays of shape (B, n_heads, t0,
+    head_dim) for positions 0..t0-1 ([] for t0 = 0), the call is one decoding
+    step: the tokens are positions t0..t0+T-1, attend to the cached prefix and
+    append their keys and values to `kv` in place. Its trace covers the new
+    positions only and keeps nothing, as backward cannot cross a cached prefix.
     """
     cfg = ckpt.config
     tok = np.asarray(tokens, dtype=np.int64)
@@ -253,28 +257,26 @@ def forward(ckpt: Checkpoint, tokens, need_cache: bool = True, kv: list | None =
     b, t = tok.shape
     if t == 0:
         raise ModelError("empty input sequence")
-    if kv is not None and need_cache:
-        raise ModelError("a key/value cache requires need_cache=False")
     t0 = kv[0][0].shape[2] if kv else 0
     if t0 + t > cfg.max_context:
         raise ContextLengthError(f"sequence length {t0 + t} exceeds max_context {cfg.max_context}")
     if tok.min() < 0 or tok.max() >= cfg.vocab_size:
         raise ModelError("token id outside vocabulary")
-    if need_cache and b >= 2:
+    if kv is None and b >= 2:
         # Two fixed row halves on two threads; numpy releases the GIL in BLAS
         # and ufuncs, so they overlap. The split depends only on the shape.
         mid = (b + 1) // 2
-        halves = list(_POOL.map(lambda rows: _forward_rows(ckpt, rows, 0, None, True),
+        halves = list(_POOL.map(lambda rows: _forward_rows(ckpt, rows, 0, None),
                                 (tok[:mid], tok[mid:])))
         return ForwardTrace(
             logits=np.concatenate([h.logits for h in halves]),
             hidden_states=[np.concatenate(hs) for hs in zip(*(h.hidden_states for h in halves))],
             tokens=tok, caches=[], final_cache={}, checkpoint=ckpt, halves=halves)
-    return _forward_rows(ckpt, tok, t0, kv, need_cache)
+    return _forward_rows(ckpt, tok, t0, kv)
 
 
-def _forward_rows(ckpt: Checkpoint, tok, t0: int, kv, need_cache: bool) -> ForwardTrace:
-    """The layer loop over a validated (B, T) batch."""
+def _forward_rows(ckpt: Checkpoint, tok, t0: int, kv) -> ForwardTrace:
+    """The layer loop over a validated (B, T) batch; it keeps activations unless `kv` is set."""
     cfg, p = ckpt.config, ckpt.params
     t = tok.shape[1]
     dt = cfg.np_dtype()
@@ -306,39 +308,35 @@ def _forward_rows(ckpt: Checkpoint, tok, t0: int, kv, need_cache: bool) -> Forwa
         h_mid = ctx @ p[lp + "att_o"]
         h_mid += h
         m_in, xhat2, inv2 = _layernorm_forward(h_mid, p[lp + "norm2"])
-        g, gp = _gelu(m_in @ p[lp + "mlp_up"])
+        g, gp = _gelu(m_in @ p[lp + "mlp_up"], kv is None)
         h = g @ p[lp + "mlp_down"]
         h += h_mid
         hidden.append(h)
-        if need_cache:
+        if kv is None:
             caches.append(dict(a=a, xhat1=xhat1, inv1=inv1, q=q, k=k, v=v, att=att, ctx=ctx,
                                m_in=m_in, xhat2=xhat2, inv2=inv2, g=g, gp=gp))
     f, xhat_f, inv_f = _layernorm_forward(h, p["final_norm"])
-    final_cache = {"f": f, "xhat_f": xhat_f, "inv_f": inv_f} if need_cache else {}
+    final_cache = {"f": f, "xhat_f": xhat_f, "inv_f": inv_f} if kv is None else {}
     return ForwardTrace(logits=f @ p["head"], hidden_states=hidden, tokens=tok,
                         caches=caches, final_cache=final_cache, checkpoint=ckpt)
 
 
-def backward(ckpt: Checkpoint, trace: ForwardTrace, dlogits) -> dict:
-    """Exact reverse-mode gradients of a scalar loss, given d(loss)/d(logits)."""
-    dl = np.asarray(dlogits, dtype=ckpt.config.np_dtype())
-    if dl.ndim == 2:
-        dl = dl[None, :, :]
+def backward(trace: ForwardTrace, dlogits) -> dict:
+    """Exact gradients of a scalar loss for `trace.checkpoint`, given d(loss)/d(logits)."""
+    dl = np.asarray(dlogits, dtype=trace.checkpoint.config.np_dtype())
     if dl.shape != trace.logits.shape:
         raise ModelError("dlogits shape mismatch with trace logits")
     if not trace.halves:
-        return _backward(ckpt, trace, dl)
+        return _backward(trace, dl)
     mid = trace.halves[0].tokens.shape[0]
-    g0, g1 = _POOL.map(_backward, (ckpt, ckpt), trace.halves, (dl[:mid], dl[mid:]))
+    g0, g1 = _POOL.map(_backward, trace.halves, (dl[:mid], dl[mid:]))
     return {path: g0[path] + g1[path] for path in g0}
 
 
-def _backward(ckpt: Checkpoint, trace: ForwardTrace, dl) -> dict:
-    if trace.checkpoint is not ckpt:
-        raise ModelError("trace was not produced by this checkpoint")
+def _backward(trace: ForwardTrace, dl) -> dict:
     if not trace.caches:
-        raise ModelError("trace has no cached activations (forward with need_cache=True)")
-    cfg, p = ckpt.config, ckpt.params
+        raise ModelError("trace has no cached activations (a decoding step keeps none)")
+    cfg, p = trace.checkpoint.config, trace.checkpoint.params
     tok = trace.tokens
     b, t = tok.shape
     scale = cfg.head_dim ** -0.5

@@ -82,8 +82,6 @@ def masked_loss(trace: model.ForwardTrace, tokens, labels, alpha: float, beta: f
     when with_grad is set.
     """
     logits = trace.logits
-    if logits.ndim == 2:
-        logits = logits[None]
     tokens = np.asarray(tokens, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     if tokens.ndim == 1:
@@ -207,7 +205,7 @@ def train(dataset, ckpt: model.Checkpoint, cfg: TrainConfig, vocab: corpus.Vocab
             trace = model.forward(ckpt, tokens)
             breakdown, dlogits = masked_loss(trace, tokens, labels, cfg.alpha, cfg.beta,
                                              with_grad=True)
-            grads = model.backward(ckpt, trace, dlogits)
+            grads = model.backward(trace, dlogits)
             step += 1
             adamw_step(ckpt, grads, cfg, step, state)
             rows.append({

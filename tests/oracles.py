@@ -56,7 +56,7 @@ def generate(ckpt: model.Checkpoint, prompt, cfg: evaluate.GenConfig, vocab: cor
     for _ in range(cfg.max_new_tokens):
         if len(seq) >= ckpt.config.max_context:
             break
-        trace = model.forward(ckpt, seq, need_cache=False)
+        trace = model.forward(ckpt, seq)
         tok = _pick(trace.logits[0, -1], cfg, rng)
         generated.append(tok)
         seq.append(tok)
@@ -91,7 +91,7 @@ def embed(ckpt: model.Checkpoint, items: list, layer: int, scope: str,
             if vocab is None:
                 raise analysis.AnalysisError("QUESTION_PLUS_COT requires a vocab")
             seq = _with_trace(ckpt, tokens, vocab, max_new_tokens)
-        trace = model.forward(ckpt, seq, need_cache=False)
+        trace = model.forward(ckpt, seq)
         vectors.append((iid, trace.hidden_states[layer][0].mean(axis=0)))
     return analysis.EmbeddingSet(layer=layer, items=vectors, language=language, scope=scope)
 

@@ -43,7 +43,7 @@ class TestCriterion1GradientOracle:
         tokens = list(rng.integers(0, cfg.vocab_size, size=12))
         trace = model.forward(ckpt, tokens)
         dlogits = rng.normal(size=trace.logits.shape)
-        grads = model.backward(ckpt, trace, dlogits)
+        grads = model.backward(trace, dlogits)
 
         eps = 1e-5  # at 1e-4 the difference's own truncation error nears the bound
         worst = 0.0
@@ -55,9 +55,9 @@ class TestCriterion1GradientOracle:
                 idx = it.multi_index
                 orig = p[idx]
                 p[idx] = orig + eps
-                hi = float(np.sum(model.forward(ckpt, tokens, need_cache=False).logits * dlogits))
+                hi = float(np.sum(model.forward(ckpt, tokens).logits * dlogits))
                 p[idx] = orig - eps
-                lo = float(np.sum(model.forward(ckpt, tokens, need_cache=False).logits * dlogits))
+                lo = float(np.sum(model.forward(ckpt, tokens).logits * dlogits))
                 p[idx] = orig
                 fd = (hi - lo) / (2 * eps)
                 an = float(grads[path][idx])

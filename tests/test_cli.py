@@ -220,6 +220,9 @@ class TestTrainCommand:
         ckpt = model.load(workspace["ckpt"])
         assert ckpt.config.d_model == 8
         assert ckpt.step == 3  # 18 samples / batch 6 * 1 epoch
+        names = os.listdir(train_dir)
+        for name in (n for n in names if not n.endswith(".meta.json")):
+            assert name + ".meta.json" in names, name
 
     def test_missing_data_file(self, tmp_path, cfg_path):
         rc = cli.main(["train", "--config", cfg_path, "--out", str(tmp_path / "t"),
@@ -518,3 +521,16 @@ class TestReproduce:
                      "eval_control_pivot.json", "retrieval_pivoted.json",
                      "delta_native.json", "correction.json"):
             assert (seed_dir / name).exists(), name
+
+    def test_each_seed_of_a_multi_seed_run_matches_its_single_seed_run(self, tmp_path):
+        def artifacts(d):
+            return {n: (d / n).read_bytes() for n in os.listdir(d) if not n.endswith(".meta.json")}
+
+        p = tmp_path / "two_seeds.json"
+        p.write_text(json.dumps(_tiny_with({"reproduce": {"seeds": [5, 7]}})))
+        assert cli.main(["reproduce", "--config", str(p), "--out", str(tmp_path / "all")]) == 0
+        for seed in (5, 7):
+            single = tmp_path / f"only{seed}"
+            assert cli.main(["reproduce", "--config", str(p), "--seed", str(seed),
+                             "--out", str(single)]) == 0
+            assert artifacts(tmp_path / "all" / f"seed{seed}") == artifacts(single / f"seed{seed}")

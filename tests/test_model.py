@@ -1,4 +1,3 @@
-import gc
 import json
 import math
 import subprocess
@@ -29,9 +28,9 @@ def finite_difference_grads(ckpt, tokens, dlogits, paths, eps=1e-5):
             idx = it.multi_index
             orig = p[idx]
             p[idx] = orig + eps
-            hi = float(np.sum(model.forward(ckpt, tokens, need_cache=False).logits * dlogits))
+            hi = float(np.sum(model.forward(ckpt, tokens).logits * dlogits))
             p[idx] = orig - eps
-            lo = float(np.sum(model.forward(ckpt, tokens, need_cache=False).logits * dlogits))
+            lo = float(np.sum(model.forward(ckpt, tokens).logits * dlogits))
             p[idx] = orig
             g[idx] = (hi - lo) / (2 * eps)
         grads[path] = g
@@ -153,7 +152,7 @@ class TestMatchesOracle:
         assert len(trace.hidden_states) == len(hidden)
         for got, want in zip(trace.hidden_states, hidden):
             assert np.array_equal(got, want)
-        grads = model.backward(ckpt, trace, dlogits)
+        grads = model.backward(trace, dlogits)
         want = oracles.backward(ckpt, tokens, dlogits)
         assert set(grads) == set(want)
         for path in want:
@@ -169,6 +168,14 @@ class TestMatchesOracle:
     @pytest.mark.parametrize("b", [4, 1])
     def test_tiny_float64(self, tiny_ckpt, b):
         self.check(tiny_ckpt, b, 9, seed=100 + b)
+
+    def test_gelu_without_derivative(self):
+        """A decoding step skips GELU's derivative and keeps the activation's bits."""
+        u = np.random.default_rng(0).normal(size=(3, 5, 16)).astype(np.float32)
+        g, _ = model._gelu(u)
+        g_only, gp = model._gelu(u, False)
+        assert gp is None
+        assert np.array_equal(g_only, g) and np.array_equal(g, oracles._gelu(u)[0])
 
 
 class TestForward:
@@ -210,7 +217,7 @@ def incremental_forward(ckpt, tokens, chunks):
     """
     kv, start, traces = [], 0, []
     for n in chunks:
-        traces.append(model.forward(ckpt, tokens[:, start:start + n], need_cache=False, kv=kv))
+        traces.append(model.forward(ckpt, tokens[:, start:start + n], kv=kv))
         start += n
     assert start == tokens.shape[1]
     assert len(kv) == ckpt.config.n_layers
@@ -230,7 +237,7 @@ class TestKVCache:
         t = sum(self.CHUNKS)
         for b in batch_sizes:
             tokens = rng.integers(0, ckpt.config.vocab_size, size=(b, t))
-            full = model.forward(ckpt, tokens, need_cache=False)
+            full = model.forward(ckpt, tokens)
             logits, hidden = incremental_forward(ckpt, tokens, self.CHUNKS)
             assert np.max(np.abs(logits - full.logits)) <= tol
             assert len(hidden) == len(full.hidden_states)
@@ -248,21 +255,21 @@ class TestKVCache:
     def test_cache_past_context_rejected(self, tiny_ckpt, tiny_config):
         n = tiny_config.max_context
         kv = []
-        model.forward(tiny_ckpt, [[1] * (n - 2)], need_cache=False, kv=kv)
+        model.forward(tiny_ckpt, [[1] * (n - 2)], kv=kv)
         with pytest.raises(model.ModelError):
-            model.forward(tiny_ckpt, [[2, 3, 4]], need_cache=False, kv=kv)
-        model.forward(tiny_ckpt, [[2, 3]], need_cache=False, kv=kv)
+            model.forward(tiny_ckpt, [[2, 3, 4]], kv=kv)
+        model.forward(tiny_ckpt, [[2, 3]], kv=kv)
         assert kv[0][0].shape[2] == n
         with pytest.raises(model.ModelError):
-            model.forward(tiny_ckpt, [[2]], need_cache=False, kv=kv)
+            model.forward(tiny_ckpt, [[2]], kv=kv)
 
-    def test_cache_with_need_cache_rejected(self, tiny_ckpt):
-        with pytest.raises(model.ModelError):
-            model.forward(tiny_ckpt, [1, 2, 3], kv=[])
+    def test_decoding_step_cannot_be_backpropagated(self, tiny_ckpt):
         kv = []
-        model.forward(tiny_ckpt, [1, 2, 3], need_cache=False, kv=kv)
-        with pytest.raises(model.ModelError):
-            model.forward(tiny_ckpt, [4], need_cache=True, kv=kv)
+        for feed in ([[1, 2, 3], [4, 5, 6]], [[7], [8]]):
+            trace = model.forward(tiny_ckpt, feed, kv=kv)
+            assert trace.caches == [] and trace.final_cache == {}
+            with pytest.raises(model.ModelError):
+                model.backward(trace, np.ones_like(trace.logits))
 
 
 class TestBackward:
@@ -272,7 +279,7 @@ class TestBackward:
         rng = np.random.default_rng(5)
         trace = model.forward(ckpt, tokens)
         dlogits = rng.normal(size=trace.logits.shape)
-        grads = model.backward(ckpt, trace, dlogits)
+        grads = model.backward(trace, dlogits)
         fd = finite_difference_grads(ckpt, tokens, dlogits, model.param_paths(tiny_config))
         for path in fd:
             assert rel_err(grads[path], fd[path]) < 1e-4, path
@@ -281,7 +288,7 @@ class TestBackward:
         tokens = [1, 2, 3]
         trace = model.forward(tiny_ckpt, tokens)
         dlogits = np.ones_like(trace.logits)
-        grads = model.backward(tiny_ckpt, trace, dlogits)
+        grads = model.backward(trace, dlogits)
         assert grads["pos"].shape == tiny_ckpt.params["pos"].shape
         assert np.all(grads["pos"][3:] == 0)
         used = set(tokens)
@@ -295,13 +302,13 @@ class TestBackward:
         rng = np.random.default_rng(9)
         trace = model.forward(tiny_ckpt, tokens)
         dlogits = rng.normal(size=trace.logits.shape)
-        grads = model.backward(tiny_ckpt, trace, dlogits)
+        grads = model.backward(trace, dlogits)
 
         padded = tokens + [0, 0, 0]
         trace_p = model.forward(tiny_ckpt, padded)
         dlogits_p = np.zeros_like(trace_p.logits)
         dlogits_p[:, :4] = dlogits
-        grads_p = model.backward(tiny_ckpt, trace_p, dlogits_p)
+        grads_p = model.backward(trace_p, dlogits_p)
         emb_pad_only = grads_p["emb"].copy()
         # token 0 also appears as pad; remove its (zero-target) contribution check
         for path in grads:
@@ -310,27 +317,9 @@ class TestBackward:
             assert np.allclose(grads[path], grads_p[path], atol=1e-10), path
         assert np.allclose(grads["emb"][1:], emb_pad_only[1:], atol=1e-10)
 
-    def test_trace_of_freed_checkpoint_rejected(self, tiny_ckpt):
-        """A trace keeps its checkpoint alive, so no new one can take its identity."""
-        for rows in ([[1, 2, 3]], [[1, 2, 3], [4, 5, 6]]):
-            trace = model.forward(tiny_ckpt.copy(), rows)
-            gc.collect()
-            fresh = [model.Checkpoint(config=tiny_ckpt.config, params=tiny_ckpt.params)
-                     for _ in range(200)]
-            for ckpt in fresh:
-                with pytest.raises(model.ModelError):
-                    model.backward(ckpt, trace, np.ones_like(trace.logits))
-
-    def test_half_from_another_checkpoint_rejected(self, tiny_ckpt):
-        rows = [[1, 2, 3], [4, 5, 6]]
-        trace = model.forward(tiny_ckpt, rows)
-        trace.halves[1] = model.forward(tiny_ckpt.copy(), rows).halves[1]
-        with pytest.raises(model.ModelError):
-            model.backward(tiny_ckpt, trace, np.ones_like(trace.logits))
-
 
 class TestBatchSplit:
-    """A cached forward of B >= 2 rows runs as two row halves on two threads."""
+    """A forward without `kv` of B >= 2 rows runs as two row halves on two threads."""
 
     @pytest.mark.parametrize("b", [2, 5])
     def test_matches_sum_of_single_rows(self, tiny_ckpt, b):
@@ -338,7 +327,7 @@ class TestBatchSplit:
         tokens = rng.integers(0, tiny_ckpt.config.vocab_size, size=(b, 7))
         dlogits = rng.normal(size=(b, 7, tiny_ckpt.config.vocab_size))
         trace = model.forward(tiny_ckpt, tokens)
-        grads = model.backward(tiny_ckpt, trace, dlogits)
+        grads = model.backward(trace, dlogits)
         want = {path: np.zeros_like(v) for path, v in tiny_ckpt.params.items()}
         for i in range(b):
             single = model.forward(tiny_ckpt, tokens[i])
@@ -346,7 +335,7 @@ class TestBatchSplit:
             assert np.max(np.abs(trace.logits[i] - single.logits[0])) <= 1e-12
             for got, h in zip(trace.hidden_states, single.hidden_states, strict=True):
                 assert np.max(np.abs(got[i] - h[0])) <= 1e-12
-            for path, g in model.backward(tiny_ckpt, single, dlogits[i]).items():
+            for path, g in model.backward(single, dlogits[i:i + 1]).items():
                 want[path] += g
         assert set(grads) == set(want)
         for path in want:
@@ -358,7 +347,7 @@ class TestBatchSplit:
         assert [h.tokens.tolist() for h in trace.halves] == [rows[:3].tolist(), rows[3:].tolist()]
         assert trace.caches == [] and all(h.caches for h in trace.halves)
         assert model.forward(tiny_ckpt, rows[:1]).halves == []
-        assert model.forward(tiny_ckpt, rows, need_cache=False).halves == []
+        assert model.forward(tiny_ckpt, rows, kv=[]).halves == []
 
     def test_finite_difference_on_split_batch(self, tiny_config):
         ckpt = model.init(tiny_config)
@@ -367,7 +356,7 @@ class TestBatchSplit:
         trace = model.forward(ckpt, tokens)
         assert len(trace.halves) == 2
         dlogits = rng.normal(size=trace.logits.shape)
-        grads = model.backward(ckpt, trace, dlogits)
+        grads = model.backward(trace, dlogits)
         fd = finite_difference_grads(ckpt, tokens, dlogits, model.param_paths(tiny_config))
         worst = max(rel_err(grads[path], fd[path]) for path in fd)
         assert worst < 1e-4
@@ -379,7 +368,7 @@ class TestPool:
     @staticmethod
     def step(ckpt, tokens, dlogits):
         trace = model.forward(ckpt, tokens)
-        return trace.logits, model.backward(ckpt, trace, dlogits)
+        return trace.logits, model.backward(trace, dlogits)
 
     def test_import_starts_no_thread(self):
         code = "import threading, pivotlab.cli; print(threading.active_count())"
