@@ -225,7 +225,7 @@ def _load_dataset(path: str, vocab) -> list:
     _require(path)
     try:
         return corpus.load_jsonl(path, vocab)
-    except (json.JSONDecodeError, KeyError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, KeyError) as exc:
         raise CliError(f"malformed dataset {path}: {exc}", EXIT_BAD_CONFIG)
     except corpus.CorpusError as exc:
         raise CliError(f"bad dataset {path}: {exc}", EXIT_BAD_DATA)
@@ -306,14 +306,14 @@ def _load_records(path: str) -> list:
     """Per-item eval records; each needs a string `id` and a boolean `correct`."""
     _require(path)
     records = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for n, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CliError(f"{path} line {n} is not JSON: {exc}", EXIT_BAD_DATA)
+                rec = json.loads(line.decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise CliError(f"{path} line {n} is not UTF-8 JSON: {exc}", EXIT_BAD_DATA)
             if not (isinstance(rec, dict) and isinstance(rec.get("id"), str)
                     and isinstance(rec.get("correct"), bool)):
                 raise CliError(f"{path} line {n}: a record needs a string id and a boolean "

@@ -251,6 +251,8 @@ def correction_matrix(base_records, new_records) -> CorrectionMatrix:
     """Correctness-transition counts between two per-item record sets."""
     base = {r["id"]: bool(r["correct"]) for r in base_records}
     new = {r["id"]: bool(r["correct"]) for r in new_records}
+    if len(base) < len(base_records) or len(new) < len(new_records):
+        raise EvalError("a record id repeats")
     if set(base) != set(new):
         raise EvalError("record id sets differ")
     if not base:

@@ -5,13 +5,19 @@ output head, no biases on linear maps, no dropout. Every parameter lives in
 a flat registry keyed by path strings ("emb", "pos", "L0.att_q", ...,
 "final_norm", "head") so checkpoints can be diffed tensor by tensor.
 LayerNorm parameters are stored as a (2, dim) tensor: row 0 gain, row 1 shift.
+
+A checkpoint file ("pivotlab-checkpoint-v2") is one JSON manifest line of `magic`,
+`config` and `step`, then the payload: every tensor of `param_paths(config)` in
+order, each `_param_shape(path, config)` in size, little-endian in `config.dtype`.
+The config decides the whole layout, so the file stores no other.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict, field, fields, replace
 
 import numpy as np
 
@@ -23,7 +29,7 @@ LN_EPS = 1e-5
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 _GELU_A = 0.044715
 
-CHECKPOINT_MAGIC = "pivotlab-checkpoint-v1"
+CHECKPOINT_MAGIC = "pivotlab-checkpoint-v2"
 
 # The two threads of a split batch: they start on first use and then stay. Its
 # tasks never submit to it, so callers in several threads cannot deadlock it.
@@ -54,6 +60,9 @@ class ModelConfig:
     dtype: str = "float32"
 
     def validate(self) -> None:
+        for f in fields(self):  # a bool or a float would make the tensor shapes wrong
+            if f.type == "int" and type(getattr(self, f.name)) is not int:
+                raise ModelError(f"{f.name} must be an int, not {getattr(self, f.name)!r}")
         for name in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_context"):
             if getattr(self, name) < 1:
                 raise ModelError(f"{name} must be positive")
@@ -105,11 +114,17 @@ class Checkpoint:
         )
 
     def validate(self) -> None:
+        """The parameters are the config's paths in its shapes and dtype, all finite."""
+        if type(self.step) is not int or self.step < 0:
+            raise ModelError(f"step must be an int >= 0, not {self.step!r}")
         expected = set(param_paths(self.config))
         got = set(self.params)
         if expected != got:
             raise ModelError(f"parameter set mismatch: missing {expected - got}, extra {got - expected}")
         for p, v in self.params.items():
+            if v.shape != _param_shape(p, self.config) or v.dtype != self.config.np_dtype():
+                raise ModelError(f"parameter {p} is {v.dtype}{list(v.shape)}, the config needs "
+                                 f"{self.config.dtype}{list(_param_shape(p, self.config))}")
             if not np.all(np.isfinite(v)):
                 raise ModelError(f"non-finite values in parameter {p}")
 
@@ -123,6 +138,12 @@ def _param_shape(path: str, cfg: ModelConfig) -> tuple:
         "MLP_UP": (d, f), "MLP_DOWN": (f, d),
         "NORM1": (2, d), "NORM2": (2, d), "FINAL_NORM": (2, d),
     }[role]
+
+
+def _n_elements(cfg: ModelConfig) -> int:
+    """Number of parameter elements, worked out without listing all 8 * n_layers paths."""
+    return sum(math.prod(_param_shape(p, cfg)) * (1 if path_layer(p) is None else cfg.n_layers)
+               for p in param_paths(replace(cfg, n_layers=1)))
 
 
 def init(config: ModelConfig) -> Checkpoint:
@@ -386,35 +407,18 @@ def _backward(trace: ForwardTrace, dl) -> dict:
 
 
 def save(ckpt: Checkpoint, path: str) -> None:
-    """Single file: one-line JSON manifest, then a raw little-endian payload."""
+    """Write the checkpoint file described in the module docstring."""
     ckpt.validate()
-    order = param_paths(ckpt.config)
-    tensors = []
-    offset = 0
-    blobs = []
-    for p in order:
-        arr = np.ascontiguousarray(ckpt.params[p])
-        raw = arr.astype("<" + arr.dtype.str[1:]).tobytes()
-        tensors.append({
-            "path": p, "shape": list(arr.shape), "dtype": str(arr.dtype),
-            "byte_offset": offset, "byte_length": len(raw),
-        })
-        blobs.append(raw)
-        offset += len(raw)
-    manifest = {
-        "magic": CHECKPOINT_MAGIC,
-        "config": asdict(ckpt.config),
-        "step": ckpt.step,
-        "payload_bytes": offset,
-        "tensors": tensors,
-    }
+    manifest = {"magic": CHECKPOINT_MAGIC, "config": asdict(ckpt.config), "step": ckpt.step}
+    dt = np.dtype(ckpt.config.dtype).newbyteorder("<")
     with atomic_open(path, "wb") as fh:
         fh.write(json.dumps(manifest, sort_keys=True).encode("utf-8") + b"\n")
-        for raw in blobs:
-            fh.write(raw)
+        for p in param_paths(ckpt.config):
+            fh.write(ckpt.params[p].astype(dt).tobytes())
 
 
 def load(path: str) -> Checkpoint:
+    """The checkpoint `save` wrote; a file that does not hold one raises CheckpointIOError."""
     with open(path, "rb") as fh:
         header = fh.readline()
         payload = fh.read()
@@ -423,28 +427,20 @@ def load(path: str) -> Checkpoint:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointIOError(f"corrupt checkpoint manifest: {exc}") from exc
     if not isinstance(manifest, dict) or manifest.get("magic") != CHECKPOINT_MAGIC:
-        raise CheckpointIOError("not a checkpoint file (bad magic)")
+        raise CheckpointIOError(f"not a {CHECKPOINT_MAGIC} file (bad magic)")
     try:
         config = ModelConfig(**manifest["config"])
         config.validate()
-        step, payload_bytes = manifest["step"], manifest["payload_bytes"]
-        entries = [(e["path"], e["shape"], np.dtype(e["dtype"]), e["byte_offset"], e["byte_length"])
-                   for e in manifest["tensors"]]
-    except (KeyError, TypeError) as exc:
-        raise CheckpointIOError(f"malformed checkpoint manifest: {exc!r}") from exc
-    if len(payload) != payload_bytes:
-        raise CheckpointIOError(
-            f"truncated payload: expected {payload_bytes} bytes, got {len(payload)}")
-    params = {}
-    for path, shape, dt, start, length in entries:
-        n = int(np.prod(shape)) if shape else 1
-        if length != n * dt.itemsize:
-            raise CheckpointIOError(f"shape/payload mismatch for tensor {path!r}")
-        end = start + length
-        if end > len(payload):
-            raise CheckpointIOError(f"payload overrun for tensor {path!r}")
-        arr = np.frombuffer(payload[start:end], dtype=dt.newbyteorder("<")).astype(dt)
-        params[path] = arr.reshape(shape)
-    ckpt = Checkpoint(config=config, params=params, step=step)
-    ckpt.validate()
+        dt = np.dtype(config.dtype).newbyteorder("<")
+        need = _n_elements(config) * dt.itemsize
+        if len(payload) != need:
+            raise ModelError(f"payload of {len(payload)} bytes, but the config needs {need}")
+        shapes = {p: _param_shape(p, config) for p in param_paths(config)}
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        flat = np.split(np.frombuffer(payload, dt), np.cumsum(sizes)[:-1])
+        params = {p: a.astype(config.np_dtype()).reshape(shapes[p]) for p, a in zip(shapes, flat)}
+        ckpt = Checkpoint(config=config, params=params, step=manifest["step"])
+        ckpt.validate()
+    except (KeyError, TypeError, ModelError) as exc:
+        raise CheckpointIOError(f"malformed checkpoint ({type(exc).__name__}): {exc}") from exc
     return ckpt

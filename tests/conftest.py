@@ -85,8 +85,13 @@ MALFORMED_MANIFESTS = {
     "missing_step": lambda m: {k: v for k, v in m.items() if k != "step"},
     "unknown_config_key": lambda m: {**m, "config": {**m["config"], "colour": "blue"}},
     "config_not_object": lambda m: {**m, "config": [1, 2]},
-    "tensor_without_dtype": lambda m: {**m, "tensors": [
-        {k: v for k, v in t.items() if k != "dtype"} for t in m["tensors"]]},
+    "n_layers_bool": lambda m: {**m, "config": {**m["config"], "n_layers": True}},
+    # refused before the 8 * n_layers parameter paths are listed
+    "n_layers_huge": lambda m: {**m, "config": {**m["config"], "n_layers": 10**9}},
+    "d_model_float": lambda m: {**m, "config": {**m["config"], "d_model": 8.0}},
+    "step_not_int": lambda m: {**m, "step": "x"},
+    "step_negative": lambda m: {**m, "step": -1},
+    "v1_magic": lambda m: {**m, "magic": "pivotlab-checkpoint-v1"},
 }
 
 

@@ -236,6 +236,15 @@ class TestTrainCommand:
                        "--data", str(bad)])
         assert rc == cli.EXIT_BAD_CONFIG
 
+    def test_undecodable_dataset(self, tmp_path, cfg_path, capsys):
+        # a dataset that is not UTF-8 exits 3, like a line that is not JSON
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"\xff\xfe" + json.dumps({"id": "x"}).encode() + b"\n")
+        rc = cli.main(["train", "--config", cfg_path, "--out", str(tmp_path / "t"),
+                       "--data", str(bad)])
+        assert rc == cli.EXIT_BAD_CONFIG
+        assert _error_line(capsys)["exit_code"] == cli.EXIT_BAD_CONFIG
+
     def test_over_length_sample(self, tmp_path, cfg_path):
         cfg = json.loads(json.dumps(TINY_CFG))
         cfg["model"]["max_context"] = 32
@@ -325,6 +334,15 @@ class TestEvalCommand:
         rc = cli.main(["eval", "--config", cfg_path, "--out", str(tmp_path / "e"),
                        "--ckpt", _save_init_ckpt(tmp_path / "init.ckpt"),
                        "--testset", str(empty)])
+        assert rc == cli.EXIT_BAD_DATA
+        assert _error_line(capsys)["exit_code"] == cli.EXIT_BAD_DATA
+
+    def test_malformed_checkpoint(self, tmp_path, cfg_path, malformed_checkpoint, capsys):
+        data = tmp_path / "data"
+        assert cli.main(["gen-data", "--config", cfg_path, "--out", str(data)]) == 0
+        capsys.readouterr()
+        rc = cli.main(["eval", "--config", cfg_path, "--out", str(tmp_path / "e"),
+                       "--ckpt", malformed_checkpoint, "--testset", str(data / "dataset.jsonl")])
         assert rc == cli.EXIT_BAD_DATA
         assert _error_line(capsys)["exit_code"] == cli.EXIT_BAD_DATA
 
@@ -451,16 +469,30 @@ class TestAnalysisCommands:
         assert "message" in err and "error" in err
 
     @pytest.mark.parametrize("line", ['{not json', '{"id": "a"}', '{"correct": true}',
-                                      '["a", true]'])
+                                      '["a", true]',
+                                      pytest.param(b'\xff\xfe{"id": "a", "correct": true}',
+                                                   id="not_utf8")])
     def test_correction_malformed_record(self, tmp_path, cfg_path, capsys, line):
         good = tmp_path / "good.jsonl"
         bad = tmp_path / "bad.jsonl"
         good.write_text('{"id": "a", "correct": true}\n')
-        bad.write_text(line + "\n")
+        bad.write_bytes((line if isinstance(line, bytes) else line.encode()) + b"\n")
         rc = cli.main(["correction", "--config", cfg_path, "--out", str(tmp_path / "c"),
                        "--base-records", str(good), "--new-records", str(bad)])
         assert rc == cli.EXIT_BAD_DATA
         assert _error_line(capsys)["exit_code"] == cli.EXIT_BAD_DATA
+
+    def test_correction_repeated_id(self, tmp_path, cfg_path, capsys):
+        base = tmp_path / "base.jsonl"
+        new = tmp_path / "new.jsonl"
+        base.write_text('{"id": "a", "correct": true}\n{"id": "b", "correct": true}\n'
+                        '{"id": "a", "correct": false}\n')
+        new.write_text('{"id": "a", "correct": true}\n{"id": "b", "correct": true}\n')
+        rc = cli.main(["correction", "--config", cfg_path, "--out", str(tmp_path / "c"),
+                       "--base-records", str(base), "--new-records", str(new)])
+        assert rc == cli.EXIT_BAD_DATA
+        assert _error_line(capsys)["exit_code"] == cli.EXIT_BAD_DATA
+        assert not (tmp_path / "c" / "correction.json").exists()
 
     def test_delta_malformed_manifest(self, tmp_path, cfg_path, capsys, malformed_checkpoint):
         rc = cli.main(["delta", "--config", cfg_path, "--out", str(tmp_path / "d"),

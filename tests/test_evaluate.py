@@ -371,6 +371,13 @@ class TestCorrectionMatrix:
         with pytest.raises(evaluate.EvalError):
             evaluate.correction_matrix([self.rec("a", True)], [self.rec("b", True)])
 
+    def test_repeated_id_rejected(self):
+        once = [self.rec("a", True), self.rec("b", False)]
+        twice = once + [self.rec("a", False)]
+        for base, new in ((twice, once), (once, twice)):
+            with pytest.raises(evaluate.EvalError, match="repeats"):
+                evaluate.correction_matrix(base, new)
+
     def test_to_json_shape(self):
         m = evaluate.correction_matrix([self.rec("a", True)], [self.rec("a", False)])
         obj = m.to_json()

@@ -1,11 +1,15 @@
+import dataclasses
+import io
 import json
 import math
 import subprocess
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from pivotlab import model
 
@@ -63,9 +67,13 @@ class TestConfigAndPaths:
         assert model.path_layer("emb") is None
 
     def test_bad_config(self):
-        with pytest.raises(model.ModelError):
-            model.ModelConfig(vocab_size=10, d_model=6, n_layers=1, n_heads=4,
-                              d_ff=8, max_context=16).validate()
+        cfg = {"vocab_size": 10, "d_model": 8, "n_layers": 1, "n_heads": 4, "d_ff": 8,
+               "max_context": 16}
+        model.ModelConfig(**cfg).validate()
+        # d_model not divisible by n_heads; a bool or a float where an int belongs
+        for bad in ({"d_model": 6}, {"n_layers": True}, {"d_model": 8.0}):
+            with pytest.raises(model.ModelError):
+                model.ModelConfig(**{**cfg, **bad}).validate()
 
     def test_init_deterministic(self, tiny_config):
         a = model.init(tiny_config)
@@ -446,18 +454,95 @@ class TestCheckpointIO:
         with pytest.raises(model.CheckpointIOError):
             model.load(str(p))
 
-    def test_shape_mismatch_names_path(self, tiny_ckpt, tmp_path):
+    def test_payload_one_element_off_names_both_sizes(self, tiny_ckpt, tmp_path):
         p = tmp_path / "s.ckpt"
         model.save(tiny_ckpt, str(p))
         raw = p.read_bytes()
-        manifest_line, payload = raw.split(b"\n", 1)
-        manifest = json.loads(manifest_line)
-        manifest["tensors"][0]["shape"] = [1, 1]
-        p.write_bytes(json.dumps(manifest).encode() + b"\n" + payload)
-        with pytest.raises(model.CheckpointIOError) as exc:
-            model.load(str(p))
-        assert manifest["tensors"][0]["path"] in str(exc.value)
+        n = len(raw.split(b"\n", 1)[1])  # float64: 8 bytes an element
+        for damaged, size in ((raw[:-8], n - 8), (raw + bytes(8), n + 8)):
+            p.write_bytes(damaged)
+            with pytest.raises(model.CheckpointIOError) as exc:
+                model.load(str(p))
+            assert f"{size} bytes" in str(exc.value) and f"needs {n}" in str(exc.value)
+
+    def test_layout_is_the_configs(self, tiny_ckpt, tmp_path):
+        p = tmp_path / "l.ckpt"
+        tiny_ckpt.step = 7
+        model.save(tiny_ckpt, str(p))
+        manifest_line, payload = p.read_bytes().split(b"\n", 1)
+        assert json.loads(manifest_line) == {"magic": model.CHECKPOINT_MAGIC, "step": 7,
+                                             "config": dataclasses.asdict(tiny_ckpt.config)}
+        assert payload == b"".join(tiny_ckpt.params[path].astype("<f8").tobytes()
+                                   for path in model.param_paths(tiny_ckpt.config))
+
+    def test_save_refuses_what_load_would_misread(self, tiny_ckpt, tmp_path):
+        for path, value in (("emb", tiny_ckpt.params["emb"].T.copy()),
+                            ("head", tiny_ckpt.params["head"].astype(np.float32)),
+                            ("step", "x"), ("step", -1)):
+            ckpt = tiny_ckpt.copy()
+            if path == "step":
+                ckpt.step = value
+            else:
+                ckpt.params[path] = value
+            with pytest.raises(model.ModelError, match=path):
+                model.save(ckpt, str(tmp_path / "x.ckpt"))
+        assert not (tmp_path / "x.ckpt").exists()
 
     def test_malformed_manifest(self, malformed_checkpoint):
         with pytest.raises(model.CheckpointIOError):
             model.load(malformed_checkpoint)
+
+
+@pytest.fixture(scope="module")
+def saved_tiny(tmp_path_factory):
+    """The bytes of a saved 1-layer, d=4 float32 checkpoint."""
+    path = tmp_path_factory.mktemp("ckpt") / "tiny.ckpt"
+    model.save(model.init(model.ModelConfig(vocab_size=5, d_model=4, n_layers=1, n_heads=2,
+                                            d_ff=8, max_context=6, rng_seed=3)), str(path))
+    return path.read_bytes()
+
+
+def _load_bytes(data: bytes):
+    """model.load of a file holding `data`: the checkpoint, or None if it raised ModelError.
+
+    load reads the bytes through `open`, which serves them from memory here, so
+    tens of thousands of damaged files cost no disk writes."""
+    with mock.patch.object(model, "open", create=True, new=lambda _, mode: io.BytesIO(data)):
+        try:
+            ckpt = model.load("damaged.ckpt")
+        except model.ModelError:  # CheckpointIOError included
+            return None
+    for path, value in ckpt.params.items():
+        assert value.shape == model._param_shape(path, ckpt.config)
+        assert value.dtype == ckpt.config.np_dtype()
+    return ckpt
+
+
+class TestDamagedCheckpoint:
+    """A damaged checkpoint loads to one of its config's shapes, or is refused with
+    ModelError; no other exception escapes `load`."""
+
+    def test_every_truncation_is_refused(self, saved_tiny):
+        assert _load_bytes(saved_tiny) is not None
+        for end in range(len(saved_tiny)):
+            assert _load_bytes(saved_tiny[:end]) is None, end
+
+    def test_every_byte_of_the_manifest_line(self, saved_tiny):
+        for i in range(saved_tiny.index(b"\n") + 1):
+            for byte in range(256):
+                if byte != saved_tiny[i]:
+                    _load_bytes(saved_tiny[:i] + bytes([byte]) + saved_tiny[i + 1:])
+
+    @given(st.data())
+    def test_a_payload_byte(self, saved_tiny, data):
+        start = saved_tiny.index(b"\n") + 1
+        i = data.draw(st.integers(start, len(saved_tiny) - 1), label="position")
+        byte = data.draw(st.integers(0, 255), label="byte")
+        damaged = saved_tiny[:i] + bytes([byte]) + saved_tiny[i + 1:]
+        ckpt = _load_bytes(damaged)
+        if ckpt is None:  # only a value that is not finite is refused
+            flat = np.frombuffer(damaged[start:], "<f4")
+            assert not np.all(np.isfinite(flat))
+        else:
+            assert b"".join(ckpt.params[path].astype("<f4").tobytes()
+                            for path in model.param_paths(ckpt.config)) == damaged[start:]
