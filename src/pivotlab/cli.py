@@ -16,6 +16,7 @@ import os
 import sys
 import time
 import traceback
+import warnings
 
 from . import __version__, analysis, atomic_open, corpus, evaluate, model, train
 
@@ -26,7 +27,8 @@ EXIT_BAD_CONFIG = 3
 EXIT_OVER_LENGTH = 4
 EXIT_BAD_DATA = 5
 
-OUTPUT_ROOT_ENV = "PIVOTLAB_OUT"
+LANGUAGES = corpus.default_languages()
+VOCAB = corpus.build_vocab(LANGUAGES)
 
 
 class CliError(Exception):
@@ -169,24 +171,10 @@ def _write_lines(lines, path: str, cfg: dict) -> None:
     _write_sidecar(path, cfg)
 
 
-def _save_training(ckpt, rows, ckpt_path: str, log_path: str, cfg: dict) -> None:
-    model.save(ckpt, ckpt_path)
-    _write_sidecar(ckpt_path, cfg)
-    train.write_log_csv(rows, log_path)
-    _write_sidecar(log_path, cfg)
-
-
-def _save_eval(report: dict, records: list, rec_path: str, report_path: str, cfg: dict) -> None:
-    _write_lines((json.dumps(r, sort_keys=True) for r in records), rec_path, cfg)
-    write_json(report, report_path, cfg)
-
-
-def _outdir(path: str) -> str:
-    root = os.environ.get(OUTPUT_ROOT_ENV)
-    if root and not os.path.isabs(path):
-        path = os.path.join(root, path)
-    os.makedirs(path, exist_ok=True)
-    return path
+def _save(save, obj, path: str, cfg: dict) -> None:
+    """Artifact written by `save(obj, path)`, plus its sidecar."""
+    save(obj, path)
+    _write_sidecar(path, cfg)
 
 
 def _require(path: str) -> str:
@@ -195,94 +183,117 @@ def _require(path: str) -> str:
     return path
 
 
-def _setup():
-    languages = corpus.default_languages()
-    vocab = corpus.build_vocab(languages)
-    return languages, vocab
-
-
-def _build(cfg: dict, vocab, languages, n: int, mix: float, regime: str, seed: int):
+def _build(cfg: dict, n: int, mix: float, regime: str, seed: int):
     c = cfg["corpus"]
-    return corpus.build_dataset(n, mix, regime, seed, vocab, languages,
+    return corpus.build_dataset(n, mix, regime, seed, VOCAB, LANGUAGES,
                                 max_steps=c["max_steps"], value_cap=c["value_cap"])
 
 
-def cmd_gen_data(args, cfg: dict, out: str) -> int:
-    languages, vocab = _setup()
-    samples = corpus.build_dataset(**cfg["corpus"], seed=cfg["seed"], vocab=vocab,
-                                   languages=languages)
-    data_path = os.path.join(out, "dataset.jsonl")
-    corpus.save_jsonl(samples, data_path)
-    _write_sidecar(data_path, cfg)
-    vocab_path = os.path.join(out, "vocab.json")
-    vocab.save(vocab_path)
-    _write_sidecar(vocab_path, cfg)
-    print(f"wrote {len(samples)} samples to {data_path}")
-    return EXIT_OK
-
-
-def _load_dataset(path: str, vocab) -> list:
+def _load_dataset(path: str) -> list:
     _require(path)
     try:
-        return corpus.load_jsonl(path, vocab)
+        return corpus.load_jsonl(path, VOCAB)
     except (UnicodeDecodeError, json.JSONDecodeError, KeyError) as exc:
         raise CliError(f"malformed dataset {path}: {exc}", EXIT_BAD_CONFIG)
     except corpus.CorpusError as exc:
         raise CliError(f"bad dataset {path}: {exc}", EXIT_BAD_DATA)
 
 
-def cmd_train(args, cfg: dict, out: str) -> int:
-    languages, vocab = _setup()
-    dataset = _load_dataset(args.data, vocab)
-    ckpt = model.init(model.ModelConfig(**cfg["model"], vocab_size=len(vocab),
+def _paired_items(cfg: dict, n: int, seed: int) -> list:
+    pivot, target = LANGUAGES
+    c = cfg["corpus"]
+    pairs = []
+    for i in range(n):
+        p = corpus.gen_problem(seed * 7_654_321 + i, c["max_steps"], c["value_cap"])
+        tq = [VOCAB.bos] + VOCAB.tokenize(corpus.render(p, "QUESTION", target))
+        pq = [VOCAB.bos] + VOCAB.tokenize(corpus.render(p, "QUESTION", pivot))
+        pairs.append((f"pair-{i:04d}", tq, pq))
+    return pairs
+
+
+# One function per job, called by its single command and by `reproduce`: it builds the
+# job's config, runs the module and writes the artifacts and sidecars at the given paths.
+
+def _init(cfg: dict) -> model.Checkpoint:
+    return model.init(model.ModelConfig(**cfg["model"], vocab_size=len(VOCAB),
                                         rng_seed=cfg["seed"]))
-    tcfg = train.TrainConfig(**cfg["train"], seed=cfg["seed"])
-    ckpt, rows = train.train(dataset, ckpt, tcfg, vocab, checkpoint_dir=out)
-    for epoch in range(1, tcfg.epochs + 1):
-        _write_sidecar(os.path.join(out, f"epoch{epoch}.ckpt"), cfg)
+
+
+def _train(cfg: dict, dataset, ckpt, epochs: int, ckpt_path: str, log_path: str,
+           on_epoch=None):
+    """Train `ckpt` in place; write the final checkpoint and the loss log."""
+    tcfg = train.TrainConfig(**{**cfg["train"], "epochs": epochs}, seed=cfg["seed"])
+    ckpt, rows = train.train(dataset, ckpt, tcfg, VOCAB, on_epoch=on_epoch)
+    _save(model.save, ckpt, ckpt_path, cfg)
+    _save(train.write_log_csv, rows, log_path, cfg)
+    return ckpt, rows
+
+
+def _eval(cfg: dict, ckpt, testset, mode: str, cot_lang: str | None, records_path: str,
+          report_path: str):
+    """Score `ckpt` on `testset`; traces are held to `cot_lang` (PIVOT or TARGET), or by
+    default to each item's own trace language. Writes the records and the report."""
+    gcfg = evaluate.GenConfig(**{**cfg["eval"], "mode": mode}, seed=cfg["seed"])
+    expected = {lang.id: lang for lang in LANGUAGES}.get(cot_lang)
+    report, records = evaluate.score(ckpt, testset, gcfg, VOCAB, LANGUAGES, expected)
+    _write_lines((json.dumps(r, sort_keys=True) for r in records), records_path, cfg)
+    write_json(report, report_path, cfg)
+    return report, records
+
+
+def _retrieval(cfg: dict, ckpt, scope: str, path: str) -> dict:
+    pairs = _paired_items(cfg, cfg["analysis"]["n_retrieval_items"], cfg["seed"])
+    report = analysis.retrieval_report(ckpt, pairs, scope, VOCAB,
+                                       max_new_tokens=cfg["eval"]["max_new_tokens"])
+    write_json(report, path, cfg)
+    return report
+
+
+def _delta(cfg: dict, ckpt_a, ckpt_b, path: str):
+    report = analysis.delta_map(ckpt_a, ckpt_b)
+    write_json(report.to_json(), path, cfg)
+    return report
+
+
+def _correction(cfg: dict, base: list, new: list, path: str):
+    matrix = evaluate.correction_matrix(base, new)
+    write_json(matrix.to_json(), path, cfg)
+    return matrix
+
+
+def cmd_gen_data(args, cfg: dict, out: str) -> int:
+    c = cfg["corpus"]
+    samples = _build(cfg, c["n_target"], c["mix_ratio"], c["regime"], cfg["seed"])
+    data_path = os.path.join(out, "dataset.jsonl")
+    _save(corpus.save_jsonl, samples, data_path, cfg)
+    _save(corpus.Vocab.save, VOCAB, os.path.join(out, "vocab.json"), cfg)
+    print(f"wrote {len(samples)} samples to {data_path}")
+    return EXIT_OK
+
+
+def cmd_train(args, cfg: dict, out: str) -> int:
+    def save_epoch(epoch, ckpt):
+        _save(model.save, ckpt, os.path.join(out, f"epoch{epoch}.ckpt"), cfg)
+
     ckpt_path = os.path.join(out, "final.ckpt")
-    _save_training(ckpt, rows, ckpt_path, os.path.join(out, "train_log.csv"), cfg)
+    _, rows = _train(cfg, _load_dataset(args.data), _init(cfg), cfg["train"]["epochs"],
+                     ckpt_path, os.path.join(out, "train_log.csv"), on_epoch=save_epoch)
     print(f"trained {len(rows)} steps; checkpoint at {ckpt_path}")
     return EXIT_OK
 
 
 def cmd_eval(args, cfg: dict, out: str) -> int:
-    languages, vocab = _setup()
     ckpt = model.load(_require(args.ckpt))
-    testset = _load_dataset(args.testset, vocab)
-    # By default only NATIVE testsets expect target traces; `score` rejects an empty one.
-    native = bool(testset) and testset[0].regime == "NATIVE"
-    cot_lang = args.cot_lang or ("TARGET" if native else "PIVOT")
-    expected = languages[0] if cot_lang == "PIVOT" else languages[1]
-    gcfg = evaluate.GenConfig(**cfg["eval"], seed=cfg["seed"])
-    report, records = evaluate.score(ckpt, testset, gcfg, vocab, languages, expected)
-    _save_eval(report, records, os.path.join(out, "records.jsonl"),
-               os.path.join(out, "report.json"), cfg)
+    report, _ = _eval(cfg, ckpt, _load_dataset(args.testset), cfg["eval"]["mode"],
+                      args.cot_lang, os.path.join(out, "records.jsonl"),
+                      os.path.join(out, "report.json"))
     print(f"accuracy {report['accuracy']:.4f} over {report['n']} items")
     return EXIT_OK
 
 
-def _paired_items(cfg: dict, vocab, languages, n: int, seed: int) -> list:
-    pivot, target = languages
-    c = cfg["corpus"]
-    pairs = []
-    for i in range(n):
-        p = corpus.gen_problem(seed * 7_654_321 + i, c["max_steps"], c["value_cap"])
-        tq = [vocab.bos] + vocab.tokenize(corpus.render(p, "QUESTION", target))
-        pq = [vocab.bos] + vocab.tokenize(corpus.render(p, "QUESTION", pivot))
-        pairs.append((f"pair-{i:04d}", tq, pq))
-    return pairs
-
-
 def cmd_retrieval(args, cfg: dict, out: str) -> int:
-    languages, vocab = _setup()
-    ckpt = model.load(_require(args.ckpt))
-    scope = args.scope or cfg["analysis"]["scope"]
-    pairs = _paired_items(cfg, vocab, languages, cfg["analysis"]["n_retrieval_items"],
-                          cfg["seed"])
-    report = analysis.retrieval_report(ckpt, pairs, scope, vocab,
-                                       max_new_tokens=cfg["eval"]["max_new_tokens"])
-    write_json(report, os.path.join(out, "retrieval.json"), cfg)
+    report = _retrieval(cfg, model.load(_require(args.ckpt)),
+                        args.scope or cfg["analysis"]["scope"], os.path.join(out, "retrieval.json"))
     _write_lines(["layer,accuracy"] + [f"{layer},{acc!r}" for layer, acc
                                        in enumerate(report["per_layer_accuracy"])],
                  os.path.join(out, "retrieval.csv"), cfg)
@@ -293,8 +304,7 @@ def cmd_retrieval(args, cfg: dict, out: str) -> int:
 def cmd_delta(args, cfg: dict, out: str) -> int:
     ckpt_a = model.load(_require(args.ckpt_a))
     ckpt_b = model.load(_require(args.ckpt_b))
-    report = analysis.delta_map(ckpt_a, ckpt_b)
-    write_json(report.to_json(), os.path.join(out, "delta.json"), cfg)
+    report = _delta(cfg, ckpt_a, ckpt_b, os.path.join(out, "delta.json"))
     _write_lines(["path,delta"] + [f"{path},{val!r}" for path, val
                                    in sorted(report.per_path.items())],
                  os.path.join(out, "delta.csv"), cfg)
@@ -323,10 +333,8 @@ def _load_records(path: str) -> list:
 
 
 def cmd_correction(args, cfg: dict, out: str) -> int:
-    base = _load_records(args.base_records)
-    new = _load_records(args.new_records)
-    matrix = evaluate.correction_matrix(base, new)
-    write_json(matrix.to_json(), os.path.join(out, "correction.json"), cfg)
+    matrix = _correction(cfg, _load_records(args.base_records), _load_records(args.new_records),
+                         os.path.join(out, "correction.json"))
     print(f"ic {float(matrix.ic):.4f} ci {float(matrix.ci):.4f}")
     return EXIT_OK
 
@@ -336,68 +344,51 @@ def _ema_cot_at(rows: list, step: int) -> float:
     return rows[min(step, len(rows)) - 1]["ema_cot"]
 
 
-def _run_seed(cfg: dict, vocab, languages, out: str) -> dict:
+def _run_seed(cfg: dict, out: str) -> dict:
     """One full experiment at the config's seed: three trainings plus all probes."""
     seed = cfg["seed"]
-    pivot, target = languages
     c, rcfg = cfg["corpus"], cfg["reproduce"]
-    n_test = rcfg["n_test"]
-    tcfg = train.TrainConfig(**{**cfg["train"], "epochs": rcfg["epochs"]}, seed=seed)
-    # Deterministic decoding: at this scale, sampling noise on a small test
-    # set can swamp the accuracy gaps the report is meant to compare.
-    gcfg = evaluate.GenConfig(**{**cfg["eval"], "mode": rcfg["eval_mode"]}, seed=seed)
+
+    def at(name: str) -> str:
+        return os.path.join(out, name)
 
     datasets = {
-        "pivoted": _build(cfg, vocab, languages, c["n_target"], c["mix_ratio"], "PIVOTED", seed),
-        "native": _build(cfg, vocab, languages, c["n_target"], c["mix_ratio"], "NATIVE", seed),
-        "control": _build(cfg, vocab, languages, c["n_target"], 0.0, "PIVOT_ONLY", seed + 1),
+        "pivoted": _build(cfg, c["n_target"], c["mix_ratio"], "PIVOTED", seed),
+        "native": _build(cfg, c["n_target"], c["mix_ratio"], "NATIVE", seed),
+        "control": _build(cfg, c["n_target"], 0.0, "PIVOT_ONLY", seed + 1),
     }
-    target_test = _build(cfg, vocab, languages, n_test, 0.0, "PIVOTED", seed + 2)
-    pivot_test = _build(cfg, vocab, languages, n_test, 0.0, "PIVOT_ONLY", seed + 3)
+    target_test = _build(cfg, rcfg["n_test"], 0.0, "PIVOTED", seed + 2)
+    pivot_test = _build(cfg, rcfg["n_test"], 0.0, "PIVOT_ONLY", seed + 3)
+    _save(corpus.save_jsonl, datasets["pivoted"], at("dataset_pivoted.jsonl"), cfg)
 
-    data_path = os.path.join(out, "dataset_pivoted.jsonl")
-    corpus.save_jsonl(datasets["pivoted"], data_path)
-    _write_sidecar(data_path, cfg)
-
-    init_ckpt = model.init(model.ModelConfig(**cfg["model"], vocab_size=len(vocab), rng_seed=seed))
+    init_ckpt = _init(cfg)
     models, logs = {}, {}
     for name, data in datasets.items():
-        ckpt, rows = train.train(data, init_ckpt.copy(), tcfg, vocab)
-        models[name], logs[name] = ckpt, rows
-        _save_training(ckpt, rows, os.path.join(out, f"model_{name}.ckpt"),
-                       os.path.join(out, f"train_log_{name}.csv"), cfg)
+        models[name], logs[name] = _train(cfg, data, init_ckpt.copy(), rcfg["epochs"],
+                                          at(f"model_{name}.ckpt"), at(f"train_log_{name}.csv"))
 
-    # accuracy on target-language and pivot-language tests
+    # Accuracy on target- and pivot-language tests; the native model's traces are held to
+    # the target language. Deterministic decoding by default: at this scale, sampling
+    # noise on a small test set can swamp the accuracy gaps the report compares.
     evals, records = {}, {}
-    for name, tset, expected in (
-        ("pivoted_target", target_test, pivot),
-        ("native_target", target_test, target),
-        ("pivoted_pivot", pivot_test, pivot),
-        ("control_pivot", pivot_test, pivot),
+    for name, tset, cot_lang in (
+        ("pivoted_target", target_test, None),
+        ("native_target", target_test, "TARGET"),
+        ("pivoted_pivot", pivot_test, None),
+        ("control_pivot", pivot_test, None),
     ):
-        mdl = models[name.split("_")[0]]
-        rep, recs = evaluate.score(mdl, tset, gcfg, vocab, languages, expected)
-        evals[name], records[name] = rep, recs
-        _save_eval(rep, recs, os.path.join(out, f"records_{name}.jsonl"),
-                   os.path.join(out, f"eval_{name}.json"), cfg)
+        evals[name], records[name] = _eval(cfg, models[name.split("_")[0]], tset,
+                                           rcfg["eval_mode"], cot_lang,
+                                           at(f"records_{name}.jsonl"), at(f"eval_{name}.json"))
 
-    # retrieval probe
-    pairs = _paired_items(cfg, vocab, languages, cfg["analysis"]["n_retrieval_items"], seed)
-    retrieval = {}
-    for name in ("pivoted", "native"):
-        retrieval[name] = analysis.retrieval_report(
-            models[name], pairs, cfg["analysis"]["scope"], vocab,
-            max_new_tokens=cfg["eval"]["max_new_tokens"])
-        write_json(retrieval[name], os.path.join(out, f"retrieval_{name}.json"), cfg)
-
+    retrieval = {name: _retrieval(cfg, models[name], cfg["analysis"]["scope"],
+                                  at(f"retrieval_{name}.json"))
+                 for name in ("pivoted", "native")}
     # parameter deltas against the shared init
-    deltas = {name: analysis.delta_map(models[name], init_ckpt)
+    deltas = {name: _delta(cfg, models[name], init_ckpt, at(f"delta_{name}.json"))
               for name in ("pivoted", "native")}
-    for name, rep in deltas.items():
-        write_json(rep.to_json(), os.path.join(out, f"delta_{name}.json"), cfg)
-
-    matrix = evaluate.correction_matrix(records["native_target"], records["pivoted_target"])
-    write_json(matrix.to_json(), os.path.join(out, "correction.json"), cfg)
+    matrix = _correction(cfg, records["native_target"], records["pivoted_target"],
+                         at("correction.json"))
 
     outcome = {
         "seed": seed,
@@ -433,16 +424,13 @@ def _run_seed(cfg: dict, vocab, languages, out: str) -> dict:
 
 
 def cmd_reproduce(args, cfg: dict, out: str) -> int:
-    languages, vocab = _setup()
     seeds = [cfg["seed"]] if args.seed is not None else cfg["reproduce"]["seeds"]
-    vocab_path = os.path.join(out, "vocab.json")
-    vocab.save(vocab_path)
-    _write_sidecar(vocab_path, cfg)
+    _save(corpus.Vocab.save, VOCAB, os.path.join(out, "vocab.json"), cfg)
     outcomes = []
     for seed in seeds:
         seed_dir = os.path.join(out, f"seed{seed}")
         os.makedirs(seed_dir, exist_ok=True)
-        outcomes.append(_run_seed({**cfg, "seed": seed}, vocab, languages, seed_dir))
+        outcomes.append(_run_seed({**cfg, "seed": seed}, seed_dir))
     combined = {
         "seeds": seeds,
         "outcomes": outcomes,
@@ -488,27 +476,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exit_code(exc: Exception) -> int:
+    if isinstance(exc, CliError):
+        return exc.exit_code
+    if isinstance(exc, MODULE_ERRORS):
+        return EXIT_OVER_LENGTH if isinstance(exc, model.ContextLengthError) else EXIT_BAD_DATA
+    return EXIT_ERROR
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        if getattr(args, "cot_lang", None) not in (None, "PIVOT", "TARGET"):
-            raise CliError("--cot-lang must be PIVOT or TARGET", EXIT_BAD_CONFIG)
-        cfg = load_config(args.config, args.seed)
-        return args.fn(args, cfg, _outdir(args.out))
-    except CliError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc),
-                          "exit_code": exc.exit_code}), file=sys.stderr)
-        return exc.exit_code
-    except MODULE_ERRORS as exc:
-        code = EXIT_OVER_LENGTH if isinstance(exc, model.ContextLengthError) else EXIT_BAD_DATA
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc),
-                          "exit_code": code}), file=sys.stderr)
-        return code
-    except Exception as exc:  # pragma: no cover - unexpected failure path
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc),
-                          "exit_code": EXIT_ERROR, "trace": traceback.format_exc()}),
-              file=sys.stderr)
-        return EXIT_ERROR
+    # A failing command writes one JSON line to stderr and nothing else. numpy's overflow
+    # warnings also come from the training pool's threads, which no np.errstate here
+    # reaches, so they are filtered process-wide; a non-finite result still fails.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            if getattr(args, "cot_lang", None) not in (None, "PIVOT", "TARGET"):
+                raise CliError("--cot-lang must be PIVOT or TARGET", EXIT_BAD_CONFIG)
+            cfg = load_config(args.config, args.seed)
+            os.makedirs(args.out, exist_ok=True)
+            return args.fn(args, cfg, args.out)
+        except Exception as exc:
+            code = _exit_code(exc)
+            error = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
+            if code == EXIT_ERROR:  # an unexpected failure
+                error["trace"] = traceback.format_exc()
+            print(json.dumps(error), file=sys.stderr)
+            return code
 
 
 if __name__ == "__main__":

@@ -162,8 +162,9 @@ def conformance(cot_tokens, expected: corpus.Language, vocab: corpus.Vocab) -> f
 
 
 def score(ckpt: model.Checkpoint, testset, cfg: GenConfig, vocab: corpus.Vocab,
-          languages, expected_cot_lang: corpus.Language):
-    """Exact-match accuracy plus trace-language conformance.
+          languages, expected_cot_lang: corpus.Language | None = None):
+    """Exact-match accuracy plus trace-language conformance to `expected_cot_lang`, or
+    by default to each sample's own `cot_lang`.
 
     Returns (report dict, per-item record list). Gold answers come from the
     testset samples' answer segments.
@@ -183,7 +184,8 @@ def score(ckpt: model.Checkpoint, testset, cfg: GenConfig, vocab: corpus.Vocab,
             "predicted": predicted,
             "correct": bool(predicted is not None and predicted == gold),
             "terminated": res.terminated,
-            "conformance": conformance(res.cot_segment, expected_cot_lang, vocab),
+            "conformance": conformance(res.cot_segment, expected_cot_lang or by_id[s.cot_lang],
+                                       vocab),
             "regime": s.regime,
         })
     report = _summarize(records)

@@ -178,11 +178,12 @@ def make_batches(samples, batch_size: int):
 
 
 def train(dataset, ckpt: model.Checkpoint, cfg: TrainConfig, vocab: corpus.Vocab,
-          checkpoint_dir: str | None = None):
-    """Run the full (epochs x batches) loop; returns (ckpt, log rows).
+          on_epoch=None):
+    """Run the full (epochs x batches) loop on `ckpt` in place; returns (ckpt, log rows).
 
     Each log row: step, epoch, loss_cot, loss_answer, loss_total, ema_cot,
-    ema_answer. Batch order is shuffled per epoch from cfg.seed.
+    ema_answer. Batch order is shuffled per epoch from cfg.seed. After each
+    epoch, `on_epoch(epoch, ckpt)` gets its 1-based number and the checkpoint.
     """
     cfg.validate()
     if not dataset:
@@ -213,8 +214,8 @@ def train(dataset, ckpt: model.Checkpoint, cfg: TrainConfig, vocab: corpus.Vocab
                 "loss_cot": breakdown.loss_cot, "loss_answer": breakdown.loss_answer,
                 "loss_total": breakdown.loss_total,
             })
-        if checkpoint_dir is not None:
-            model.save(ckpt, f"{checkpoint_dir}/epoch{epoch + 1}.ckpt")
+        if on_epoch is not None:
+            on_epoch(epoch + 1, ckpt)
     for seg in ("cot", "answer"):
         emas = ema_series([r[f"loss_{seg}"] for r in rows], cfg.ema_weight)
         for r, y in zip(rows, emas):

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -205,11 +206,6 @@ class TestGenData:
         assert set(meta) == {"config_hash", "seed", "tool_version", "created_unix"}
         assert meta["seed"] == 5
 
-    def test_output_root_env(self, tmp_path, cfg_path, monkeypatch):
-        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path))
-        assert cli.main(["gen-data", "--config", cfg_path, "--out", "rel"]) == 0
-        assert (tmp_path / "rel" / "dataset.jsonl").exists()
-
 
 class TestTrainCommand:
     def test_artifacts(self, workspace):
@@ -257,6 +253,25 @@ class TestTrainCommand:
                        "--data", str(data / "dataset.jsonl")])
         assert rc == cli.EXIT_OVER_LENGTH
 
+    def test_overflow_fails_with_one_stderr_line(self, tmp_path):
+        # In a subprocess: in-process, pytest's own warning capture would hide
+        # numpy's overflow warnings, which the training pool's threads raise.
+        cfg = _tiny_with({"train": {"epochs": 2, "batch_size": 32, "lr": 1e30}})
+        p = tmp_path / "huge_lr.json"
+        p.write_text(json.dumps(cfg))
+        data, out = tmp_path / "data", tmp_path / "t"
+        assert cli.main(["gen-data", "--config", str(p), "--out", str(data)]) == 0
+        src = os.path.dirname(os.path.dirname(pivotlab.__file__))
+        proc = subprocess.run([sys.executable, "-m", "pivotlab.cli", "train", "--config", str(p),
+                               "--out", str(out), "--data", str(data / "dataset.jsonl")],
+                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == cli.EXIT_BAD_DATA
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert json.loads(lines[0])["exit_code"] == cli.EXIT_BAD_DATA
+        # the one epoch that finished left its checkpoint, with its sidecar
+        assert sorted(os.listdir(out)) == ["epoch1.ckpt", "epoch1.ckpt.meta.json"]
+
 
 def _save_init_ckpt(path, max_context: int = 128) -> str:
     vocab = corpus.build_vocab(corpus.default_languages())
@@ -297,6 +312,28 @@ class TestEvalCommand:
                              "--testset", workspace["data"]]) == 0
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
         assert (out1 / "records.jsonl").read_bytes() == (out2 / "records.jsonl").read_bytes()
+
+    def test_default_cot_lang_is_each_rows_own(self, tmp_path):
+        """A NATIVE file with its pivot-only mix scores each row against its own trace
+        language, so the records do not depend on which row comes first."""
+        p = tmp_path / "native.json"
+        p.write_text(json.dumps(_tiny_with({"corpus": {"regime": "NATIVE"}})))
+        assert cli.main(["gen-data", "--config", str(p), "--out", str(tmp_path / "d")]) == 0
+        rows = (tmp_path / "d" / "dataset.jsonl").read_text().splitlines()
+        rows.sort(key=lambda line: json.loads(line)["regime"])
+        assert json.loads(rows[0])["regime"] != json.loads(rows[-1])["regime"]
+        ckpt = _save_init_ckpt(tmp_path / "init.ckpt")
+        records = []
+        for order, lines in (("fwd", rows), ("rev", rows[::-1])):
+            testset = tmp_path / f"{order}.jsonl"
+            testset.write_text("".join(line + "\n" for line in lines))
+            out = tmp_path / f"e-{order}"
+            assert cli.main(["eval", "--config", str(p), "--out", str(out), "--ckpt", ckpt,
+                             "--testset", str(testset)]) == 0
+            recs = [json.loads(l) for l in (out / "records.jsonl").read_text().splitlines()]
+            records.append({r["id"]: r for r in recs})
+        assert records[0] == records[1]
+        assert len({r["conformance"] for r in records[0].values()}) > 1
 
     def test_bad_cot_lang(self, workspace):
         rc = cli.main(["eval", "--config", workspace["cfg"],
@@ -411,7 +448,7 @@ class TestAnalysisCommands:
         cfg["corpus"]["value_cap"] = 10
         pivot = languages[0]
         ops = {pivot.op_word(op): op for op in corpus.OPS}
-        for _, _, pq in cli._paired_items(cfg, vocab, languages, 64, seed=3):
+        for _, _, pq in cli._paired_items(cfg, 64, seed=3):
             # "start with S then OP X ... then OP X . what is the result ?"
             words = vocab.detokenize(pq[1:]).split()
             v = int(words[2])
@@ -531,6 +568,33 @@ class TestThreadEnv:
             digests[threads] = [hashlib.sha256((out / name).read_bytes()).hexdigest()
                                 for name in ("final.ckpt", "train_log.csv")]
         assert digests[None] == digests["1"] == digests["2"], digests
+
+
+class TestSharedSteps:
+    """The single commands and `reproduce` run one code path per job: at the same
+    config and seed they write the same bytes."""
+
+    @pytest.fixture(scope="class")
+    def seed_dir(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("shared")
+        p = tmp / "config.json"
+        p.write_text(json.dumps(TINY_CFG))
+        assert TINY_CFG["train"]["epochs"] == TINY_CFG["reproduce"]["epochs"]
+        assert cli.main(["reproduce", "--config", str(p), "--out", str(tmp / "repro")]) == 0
+        return {"cfg": str(p), "dir": tmp / "repro" / "seed5", "tmp": tmp}
+
+    def test_train_matches_reproduce(self, seed_dir):
+        d, out = seed_dir["dir"], seed_dir["tmp"] / "train"
+        assert cli.main(["train", "--config", seed_dir["cfg"], "--out", str(out),
+                         "--data", str(d / "dataset_pivoted.jsonl")]) == 0
+        assert (out / "final.ckpt").read_bytes() == (d / "model_pivoted.ckpt").read_bytes()
+        assert (out / "train_log.csv").read_bytes() == (d / "train_log_pivoted.csv").read_bytes()
+
+    def test_retrieval_matches_reproduce(self, seed_dir):
+        d, out = seed_dir["dir"], seed_dir["tmp"] / "ret"
+        assert cli.main(["retrieval", "--config", seed_dir["cfg"], "--seed", "5",
+                         "--out", str(out), "--ckpt", str(d / "model_pivoted.ckpt")]) == 0
+        assert (out / "retrieval.json").read_bytes() == (d / "retrieval_pivoted.json").read_bytes()
 
 
 class TestReproduce:

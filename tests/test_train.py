@@ -203,16 +203,19 @@ class TestTrainLoop:
             assert r["loss_total"] == pytest.approx(
                 cfg.alpha * r["loss_cot"] + cfg.beta * r["loss_answer"])
 
-    def test_epoch_checkpoints_written(self, tiny_config, vocab, languages, tmp_path):
+    def test_epoch_checkpoints_written(self, tiny_config, vocab, languages):
         dataset = small_dataset(vocab, languages, n=8)
         cfg = train.TrainConfig(lr=1e-3, epochs=2, batch_size=4, seed=1)
-        ckpt, _ = train.train(dataset, model.init(tiny_config), cfg, vocab,
-                              checkpoint_dir=str(tmp_path))
-        files = sorted(p.name for p in tmp_path.iterdir())
-        assert len(files) == 2
-        last = model.load(str(tmp_path / files[-1]))
+        calls = []
+
+        def on_epoch(epoch, ckpt):
+            calls.append((epoch, ckpt.step, {k: v.copy() for k, v in ckpt.params.items()}))
+
+        ckpt, _ = train.train(dataset, model.init(tiny_config), cfg, vocab, on_epoch=on_epoch)
+        assert [(epoch, step) for epoch, step, _ in calls] == [(1, 2), (2, 4)]
+        last = calls[-1][2]
         for path in ckpt.params:
-            assert np.array_equal(last.params[path], ckpt.params[path])
+            assert np.array_equal(last[path], ckpt.params[path])
 
     def test_log_csv_round_trip(self, tmp_path):
         rows = [
