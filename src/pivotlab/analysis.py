@@ -92,7 +92,10 @@ def _all_layer_embeddings(ckpt, items, scope, vocab, max_new_tokens):
     for (iid, _), seq in zip(items, seqs):
         trace = model.forward(ckpt, seq)
         for layer, h in enumerate(trace.hidden_states):
-            per_layer[layer].append((iid, h[0].mean(axis=0)))
+            vec = h[0].mean(axis=0)
+            if not np.isfinite(vec).all():
+                raise AnalysisError(f"item {iid}: non-finite hidden state at layer {layer}")
+            per_layer[layer].append((iid, vec))
     return per_layer
 
 

@@ -183,6 +183,15 @@ def _require(path: str) -> str:
     return path
 
 
+def _load_checkpoint(path: str) -> model.Checkpoint:
+    """A checkpoint whose token ids are this vocabulary's; another vocabulary's is bad data."""
+    ckpt = model.load(_require(path))
+    if ckpt.config.vocab_size != len(VOCAB):
+        raise CliError(f"checkpoint {path} has vocab_size {ckpt.config.vocab_size}, but the "
+                       f"vocabulary has {len(VOCAB)} ids", EXIT_BAD_DATA)
+    return ckpt
+
+
 def _build(cfg: dict, n: int, mix: float, regime: str, seed: int):
     c = cfg["corpus"]
     return corpus.build_dataset(n, mix, regime, seed, VOCAB, LANGUAGES,
@@ -261,17 +270,16 @@ def _correction(cfg: dict, base: list, new: list, path: str):
     return matrix
 
 
-def cmd_gen_data(args, cfg: dict, out: str) -> int:
+def cmd_gen_data(args, cfg: dict, out: str) -> None:
     c = cfg["corpus"]
     samples = _build(cfg, c["n_target"], c["mix_ratio"], c["regime"], cfg["seed"])
     data_path = os.path.join(out, "dataset.jsonl")
     _save(corpus.save_jsonl, samples, data_path, cfg)
     _save(corpus.Vocab.save, VOCAB, os.path.join(out, "vocab.json"), cfg)
     print(f"wrote {len(samples)} samples to {data_path}")
-    return EXIT_OK
 
 
-def cmd_train(args, cfg: dict, out: str) -> int:
+def cmd_train(args, cfg: dict, out: str) -> None:
     def save_epoch(epoch, ckpt):
         _save(model.save, ckpt, os.path.join(out, f"epoch{epoch}.ckpt"), cfg)
 
@@ -279,37 +287,32 @@ def cmd_train(args, cfg: dict, out: str) -> int:
     _, rows = _train(cfg, _load_dataset(args.data), _init(cfg), cfg["train"]["epochs"],
                      ckpt_path, os.path.join(out, "train_log.csv"), on_epoch=save_epoch)
     print(f"trained {len(rows)} steps; checkpoint at {ckpt_path}")
-    return EXIT_OK
 
 
-def cmd_eval(args, cfg: dict, out: str) -> int:
-    ckpt = model.load(_require(args.ckpt))
+def cmd_eval(args, cfg: dict, out: str) -> None:
+    ckpt = _load_checkpoint(args.ckpt)
     report, _ = _eval(cfg, ckpt, _load_dataset(args.testset), cfg["eval"]["mode"],
                       args.cot_lang, os.path.join(out, "records.jsonl"),
                       os.path.join(out, "report.json"))
     print(f"accuracy {report['accuracy']:.4f} over {report['n']} items")
-    return EXIT_OK
 
 
-def cmd_retrieval(args, cfg: dict, out: str) -> int:
-    report = _retrieval(cfg, model.load(_require(args.ckpt)),
+def cmd_retrieval(args, cfg: dict, out: str) -> None:
+    report = _retrieval(cfg, _load_checkpoint(args.ckpt),
                         args.scope or cfg["analysis"]["scope"], os.path.join(out, "retrieval.json"))
     _write_lines(["layer,accuracy"] + [f"{layer},{acc!r}" for layer, acc
                                        in enumerate(report["per_layer_accuracy"])],
                  os.path.join(out, "retrieval.csv"), cfg)
     print(f"best layer {report['best_layer']} accuracy {report['best_accuracy']:.4f}")
-    return EXIT_OK
 
 
-def cmd_delta(args, cfg: dict, out: str) -> int:
-    ckpt_a = model.load(_require(args.ckpt_a))
-    ckpt_b = model.load(_require(args.ckpt_b))
-    report = _delta(cfg, ckpt_a, ckpt_b, os.path.join(out, "delta.json"))
+def cmd_delta(args, cfg: dict, out: str) -> None:
+    report = _delta(cfg, _load_checkpoint(args.ckpt_a), _load_checkpoint(args.ckpt_b),
+                    os.path.join(out, "delta.json"))
     _write_lines(["path,delta"] + [f"{path},{val!r}" for path, val
                                    in sorted(report.per_path.items())],
                  os.path.join(out, "delta.csv"), cfg)
     print(f"grand total {report.grand_total:.6e}")
-    return EXIT_OK
 
 
 def _load_records(path: str) -> list:
@@ -332,11 +335,10 @@ def _load_records(path: str) -> list:
     return records
 
 
-def cmd_correction(args, cfg: dict, out: str) -> int:
+def cmd_correction(args, cfg: dict, out: str) -> None:
     matrix = _correction(cfg, _load_records(args.base_records), _load_records(args.new_records),
                          os.path.join(out, "correction.json"))
     print(f"ic {float(matrix.ic):.4f} ci {float(matrix.ci):.4f}")
-    return EXIT_OK
 
 
 def _ema_cot_at(rows: list, step: int) -> float:
@@ -423,7 +425,7 @@ def _run_seed(cfg: dict, out: str) -> dict:
     return outcome
 
 
-def cmd_reproduce(args, cfg: dict, out: str) -> int:
+def cmd_reproduce(args, cfg: dict, out: str) -> None:
     seeds = [cfg["seed"]] if args.seed is not None else cfg["reproduce"]["seeds"]
     _save(corpus.Vocab.save, VOCAB, os.path.join(out, "vocab.json"), cfg)
     outcomes = []
@@ -442,12 +444,16 @@ def cmd_reproduce(args, cfg: dict, out: str) -> int:
     write_json(combined, os.path.join(out, "combined_report.json"), cfg)
     for o in outcomes:
         print(f"seed {o['seed']}: " + " ".join(f"{k}={v}" for k, v in o["checks"].items()))
-    return EXIT_OK
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors leave through `main`'s error line with exit 3, not argparse's exit 2."""
+    def error(self, message):
+        raise CliError(message, EXIT_BAD_CONFIG)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="pivotlab",
-                                     description="Bilingual chain-of-thought training lab")
+    parser = _Parser(prog="pivotlab", description="Bilingual chain-of-thought training lab")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -464,7 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("gen-data", cmd_gen_data)
     add("train", cmd_train, **{"--data": {"required": True}})
     add("eval", cmd_eval, **{"--ckpt": {"required": True}, "--testset": {"required": True},
-                             "--cot-lang": {"default": None, "dest": "cot_lang"}})
+                             "--cot-lang": {"default": None, "dest": "cot_lang",
+                                            "choices": ("PIVOT", "TARGET")}})
     add("retrieval", cmd_retrieval, **{"--ckpt": {"required": True},
                                        "--scope": {"default": None, "choices": analysis.SCOPES}})
     add("delta", cmd_delta, **{"--ckpt-a": {"required": True, "dest": "ckpt_a"},
@@ -485,18 +492,17 @@ def _exit_code(exc: Exception) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     # A failing command writes one JSON line to stderr and nothing else. numpy's overflow
     # warnings also come from the training pool's threads, which no np.errstate here
     # reaches, so they are filtered process-wide; a non-finite result still fails.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            if getattr(args, "cot_lang", None) not in (None, "PIVOT", "TARGET"):
-                raise CliError("--cot-lang must be PIVOT or TARGET", EXIT_BAD_CONFIG)
+            args = build_parser().parse_args(argv)
             cfg = load_config(args.config, args.seed)
             os.makedirs(args.out, exist_ok=True)
-            return args.fn(args, cfg, args.out)
+            args.fn(args, cfg, args.out)
+            return EXIT_OK
         except Exception as exc:
             code = _exit_code(exc)
             error = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}

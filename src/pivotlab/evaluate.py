@@ -115,8 +115,10 @@ def generate_batch(ckpt: model.Checkpoint, prompts: list, ids: list, cfg: GenCon
             live = np.flatnonzero(~done)
             if not live.size or plen + step >= ckpt.config.max_context:
                 break
-            logits = model.forward(ckpt, feed, kv=kv).logits[:, -1]
-            picks = _select(logits[live], cfg, [rngs[j] for j in live])
+            logits = model.forward(ckpt, feed, kv=kv).logits[live, -1]
+            if not np.isfinite(logits).all():
+                raise EvalError("non-finite logits: the checkpoint's forward overflows")
+            picks = _select(logits, cfg, [rngs[j] for j in live])
             for j, tok in zip(live, picks.tolist()):
                 gens[j].append(tok)
             done[live] = picks == vocab.eos

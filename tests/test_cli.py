@@ -86,6 +86,13 @@ JSON_VALUES = st.recursive(
     max_leaves=6)
 
 
+def _run_module(argv: list) -> subprocess.CompletedProcess:
+    """`python -m pivotlab.cli` on this source tree, in a subprocess."""
+    src = os.path.dirname(os.path.dirname(pivotlab.__file__))
+    return subprocess.run([sys.executable, "-m", "pivotlab.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+
+
 @pytest.fixture
 def cfg_path(tmp_path):
     p = tmp_path / "config.json"
@@ -261,10 +268,8 @@ class TestTrainCommand:
         p.write_text(json.dumps(cfg))
         data, out = tmp_path / "data", tmp_path / "t"
         assert cli.main(["gen-data", "--config", str(p), "--out", str(data)]) == 0
-        src = os.path.dirname(os.path.dirname(pivotlab.__file__))
-        proc = subprocess.run([sys.executable, "-m", "pivotlab.cli", "train", "--config", str(p),
-                               "--out", str(out), "--data", str(data / "dataset.jsonl")],
-                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        proc = _run_module(["train", "--config", str(p), "--out", str(out),
+                            "--data", str(data / "dataset.jsonl")])
         assert proc.returncode == cli.EXIT_BAD_DATA
         lines = proc.stderr.splitlines()
         assert len(lines) == 1, proc.stderr
@@ -273,11 +278,15 @@ class TestTrainCommand:
         assert sorted(os.listdir(out)) == ["epoch1.ckpt", "epoch1.ckpt.meta.json"]
 
 
-def _save_init_ckpt(path, max_context: int = 128) -> str:
-    vocab = corpus.build_vocab(corpus.default_languages())
-    mcfg = model.ModelConfig(vocab_size=len(vocab),
+def _save_init_ckpt(path, max_context: int = 128, vocab_size: int = len(cli.VOCAB),
+                    scale: float = 1.0) -> str:
+    """A freshly initialised tiny checkpoint, every weight multiplied by `scale`."""
+    mcfg = model.ModelConfig(vocab_size=vocab_size,
                              **{**TINY_CFG["model"], "max_context": max_context})
-    model.save(model.init(mcfg), str(path))
+    ckpt = model.init(mcfg)
+    for w in ckpt.params.values():
+        w *= scale
+    model.save(ckpt, str(path))
     return str(path)
 
 
@@ -285,6 +294,79 @@ def _error_line(capsys) -> dict:
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
     return json.loads(lines[0])
+
+
+# One way each to misuse the command line; "{out}" stands for an --out directory.
+USAGE_ERRORS = {
+    "unknown_command": ["bogus", "--out", "{out}"],
+    "no_command": [],
+    "unknown_flag": ["gen-data", "--out", "{out}", "--bogus"],
+    "missing_required_flag": ["eval", "--out", "{out}", "--ckpt", "a.ckpt"],
+    "seed_not_int": ["train", "--out", "{out}", "--data", "d.jsonl", "--seed", "x"],
+    "bad_scope": ["retrieval", "--out", "{out}", "--ckpt", "a.ckpt", "--scope", "BAD"],
+    "bad_cot_lang": ["eval", "--out", "{out}", "--ckpt", "a.ckpt", "--testset", "t.jsonl",
+                     "--cot-lang", "FRENCH"],
+}
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+    def test_exit_3_with_one_error_line(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        argv = [str(out) if a == "{out}" else a for a in argv]
+        assert cli.main(argv) == cli.EXIT_BAD_CONFIG
+        assert _error_line(capsys)["exit_code"] == cli.EXIT_BAD_CONFIG
+        proc = _run_module(argv)
+        assert proc.returncode == cli.EXIT_BAD_CONFIG
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert json.loads(lines[0])["exit_code"] == cli.EXIT_BAD_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["eval", "--help"]])
+    def test_help_and_version_exit_0(self, argv):
+        proc = _run_module(argv)
+        assert proc.returncode == cli.EXIT_OK
+        assert proc.stdout and not proc.stderr
+
+
+# Each command that reads a checkpoint, with the flags it needs besides the checkpoint.
+CHECKPOINT_COMMANDS = {
+    "eval": lambda ckpt, data: ["eval", "--ckpt", ckpt, "--testset", data],
+    "retrieval_question_only": lambda ckpt, data: ["retrieval", "--ckpt", ckpt,
+                                                   "--scope", "QUESTION_ONLY"],
+    "retrieval_question_plus_cot": lambda ckpt, data: ["retrieval", "--ckpt", ckpt,
+                                                       "--scope", "QUESTION_PLUS_COT"],
+    "delta": lambda ckpt, data: ["delta", "--ckpt-a", ckpt, "--ckpt-b", ckpt],
+}
+
+
+class TestUnusableCheckpoint:
+    """A checkpoint that `model.load` accepts but that the commands cannot use is bad data."""
+
+    @pytest.fixture
+    def refused(self, tmp_path, cfg_path, capsys):
+        """Check that a command exits 5 with one error line on a checkpoint."""
+        data = tmp_path / "data"
+        assert cli.main(["gen-data", "--config", cfg_path, "--out", str(data)]) == 0
+        capsys.readouterr()
+
+        def check(command, ckpt):
+            argv = CHECKPOINT_COMMANDS[command](ckpt, str(data / "dataset.jsonl"))
+            rc = cli.main(argv + ["--config", cfg_path, "--out", str(tmp_path / "out")])
+            assert rc == cli.EXIT_BAD_DATA
+            assert _error_line(capsys)["exit_code"] == cli.EXIT_BAD_DATA
+        return check
+
+    @pytest.mark.parametrize("command", sorted(CHECKPOINT_COMMANDS))
+    def test_other_vocabulary(self, tmp_path, refused, command):
+        refused(command, _save_init_ckpt(tmp_path / "v60.ckpt", vocab_size=60))
+
+    # Weights 1e10 times their init are finite, so `load` takes them, but the float32
+    # forward overflows to NaN after the embedding.
+    @pytest.mark.parametrize("command", sorted(set(CHECKPOINT_COMMANDS) - {"delta"}))
+    def test_non_finite_forward(self, tmp_path, refused, command):
+        refused(command, _save_init_ckpt(tmp_path / "huge.ckpt", scale=1e10))
 
 
 class TestEvalCommand:
@@ -578,10 +660,12 @@ class TestSharedSteps:
     def seed_dir(self, tmp_path_factory):
         tmp = tmp_path_factory.mktemp("shared")
         p = tmp / "config.json"
-        p.write_text(json.dumps(TINY_CFG))
-        assert TINY_CFG["train"]["epochs"] == TINY_CFG["reproduce"]["epochs"]
+        p.write_text(json.dumps(_tiny_with({"eval": {"mode": "greedy"}})))
+        cfg = cli.load_config(str(p))
+        assert cfg["train"]["epochs"] == cfg["reproduce"]["epochs"]
+        assert cfg["eval"]["mode"] == cfg["reproduce"]["eval_mode"]
         assert cli.main(["reproduce", "--config", str(p), "--out", str(tmp / "repro")]) == 0
-        return {"cfg": str(p), "dir": tmp / "repro" / "seed5", "tmp": tmp}
+        return {"cfg": str(p), "config": cfg, "dir": tmp / "repro" / "seed5", "tmp": tmp}
 
     def test_train_matches_reproduce(self, seed_dir):
         d, out = seed_dir["dir"], seed_dir["tmp"] / "train"
@@ -595,6 +679,28 @@ class TestSharedSteps:
         assert cli.main(["retrieval", "--config", seed_dir["cfg"], "--seed", "5",
                          "--out", str(out), "--ckpt", str(d / "model_pivoted.ckpt")]) == 0
         assert (out / "retrieval.json").read_bytes() == (d / "retrieval_pivoted.json").read_bytes()
+
+    def test_eval_matches_reproduce(self, seed_dir):
+        cfg, d, tmp = seed_dir["config"], seed_dir["dir"], seed_dir["tmp"]
+        testset = tmp / "target_test.jsonl"
+        corpus.save_jsonl(cli._build(cfg, cfg["reproduce"]["n_test"], 0.0, "PIVOTED",
+                                     cfg["seed"] + 2), str(testset))
+        out = tmp / "eval"
+        assert cli.main(["eval", "--config", seed_dir["cfg"], "--out", str(out),
+                         "--ckpt", str(d / "model_native.ckpt"), "--testset", str(testset),
+                         "--cot-lang", "TARGET"]) == 0
+        assert (out / "records.jsonl").read_bytes() == \
+            (d / "records_native_target.jsonl").read_bytes()
+        assert (out / "report.json").read_bytes() == (d / "eval_native_target.json").read_bytes()
+
+    def test_delta_matches_reproduce(self, seed_dir):
+        d, tmp = seed_dir["dir"], seed_dir["tmp"]
+        init = tmp / "init.ckpt"
+        model.save(cli._init(seed_dir["config"]), str(init))
+        out = tmp / "delta"
+        assert cli.main(["delta", "--config", seed_dir["cfg"], "--out", str(out),
+                         "--ckpt-a", str(d / "model_pivoted.ckpt"), "--ckpt-b", str(init)]) == 0
+        assert (out / "delta.json").read_bytes() == (d / "delta_pivoted.json").read_bytes()
 
 
 class TestReproduce:

@@ -1,8 +1,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pivotlab import corpus
+
+VOCAB = corpus.build_vocab(corpus.default_languages())
 
 
 def brute_force_eval(start, steps):
@@ -139,6 +142,11 @@ class TestTokenize:
                 text = corpus.render(p, seg, lang)
                 assert vocab.detokenize(vocab.tokenize(text)) == text
 
+    @settings(max_examples=500)
+    @given(ids=st.lists(st.integers(0, len(VOCAB) - 1), max_size=30))
+    def test_any_ids_round_trip(self, ids):
+        assert VOCAB.tokenize(VOCAB.detokenize(ids)) == ids
+
     def test_vocab_json_round_trip(self, vocab, tmp_path):
         path = tmp_path / "vocab.json"
         vocab.save(str(path))
@@ -209,6 +217,15 @@ class TestBuildDataset:
         original = corpus.build_dataset(40, 1.0, "PIVOTED", 21, vocab, languages)
         assert [s.tokens for s in loaded] == [s.tokens for s in original]
         assert [s.mask for s in loaded] == [s.mask for s in original]
+
+    @given(n=st.integers(1, 12), regime=st.sampled_from(corpus.REGIMES),
+           mix=st.floats(0.0, 1.0), seed=st.integers(0, 2**64))
+    def test_any_dataset_round_trips(self, tmp_path_factory, vocab, languages, n, regime, mix,
+                                     seed):
+        samples = corpus.build_dataset(n, mix, regime, seed, vocab, languages)
+        path = tmp_path_factory.getbasetemp() / "round_trip.jsonl"
+        corpus.save_jsonl(samples, str(path))
+        assert corpus.load_jsonl(str(path), vocab) == samples
 
     def test_jsonl_schema(self, vocab, languages, tmp_path):
         path = tmp_path / "d.jsonl"
