@@ -165,6 +165,18 @@ def init(config: ModelConfig) -> Checkpoint:
     return Checkpoint(config=config, params=params, step=0)
 
 
+class KVCache:
+    """Keys and values of `rows` sequences at positions 0..filled-1, per layer, in
+    buffers of `capacity` positions allocated once; decoding forwards append to it."""
+
+    def __init__(self, config: ModelConfig, rows: int, capacity: int):
+        # a buffer per layer stays under the 4 MB from which numpy asks for huge pages
+        shape, n = (rows, config.n_heads, capacity, config.head_dim), config.n_layers
+        self.k = [np.empty(shape, dtype=config.np_dtype()) for _ in range(n)]
+        self.v = [np.empty(shape, dtype=config.np_dtype()) for _ in range(n)]
+        self.rows, self.capacity, self.filled = rows, capacity, 0
+
+
 @dataclass
 class ForwardTrace:
     logits: np.ndarray          # (B, T, V)
@@ -185,6 +197,8 @@ def _layernorm_forward(x, w):
     xhat = x - x.sum(axis=-1, keepdims=True) / d
     y = np.multiply(xhat, xhat)
     inv = 1.0 / np.sqrt(y.sum(axis=-1, keepdims=True) / d + LN_EPS)
+    if not inv.all():  # an infinite variance would turn the row into the shift alone
+        raise ModelError("layernorm variance overflows: the checkpoint's forward is not finite")
     xhat *= inv
     np.multiply(xhat, w[0], out=y)
     y += w[1]
@@ -255,6 +269,16 @@ def _softmax(x):
     return x
 
 
+def _attend(q, k, v, scale, mask):
+    """(attention weights, weighted values) of (B, H, t, hd) queries over (B, H, n, hd) keys."""
+    s = q @ k.transpose(0, 1, 3, 2)
+    s *= scale
+    if mask is not None:
+        s += mask
+    att = _softmax(s)
+    return att, att @ v
+
+
 def forward(ckpt: Checkpoint, tokens, kv: list | None = None) -> ForwardTrace:
     """Causal forward pass. Accepts a single id sequence or a (B, T) batch.
 
@@ -263,11 +287,12 @@ def forward(ckpt: Checkpoint, tokens, kv: list | None = None) -> ForwardTrace:
     trace concatenates their logits and hidden states and keeps each half's
     trace in `halves`.
 
-    With `kv`, a per-layer list of (k, v) arrays of shape (B, n_heads, t0,
-    head_dim) for positions 0..t0-1 ([] for t0 = 0), the call is one decoding
-    step: the tokens are positions t0..t0+T-1, attend to the cached prefix and
-    append their keys and values to `kv` in place. Its trace covers the new
-    positions only and keeps nothing, as backward cannot cross a cached prefix.
+    With `kv`, a list of KVCache whose rows, in order, are the B rows, the call
+    is one decoding step: each cache's rows are its positions filled..filled+T-1,
+    attend to that cache's prefix and append their keys and values to it. The
+    position-wise work runs once over all B rows, the attention once per cache.
+    Its trace covers the new positions only and keeps nothing, as backward
+    cannot cross a cached prefix.
     """
     cfg = ckpt.config
     tok = np.asarray(tokens, dtype=np.int64)
@@ -278,34 +303,41 @@ def forward(ckpt: Checkpoint, tokens, kv: list | None = None) -> ForwardTrace:
     b, t = tok.shape
     if t == 0:
         raise ModelError("empty input sequence")
-    t0 = kv[0][0].shape[2] if kv else 0
+    if kv is not None and sum(c.rows for c in kv) != b:
+        raise ModelError(f"the caches hold {sum(c.rows for c in kv)} rows, the batch has {b}")
+    t0 = max(c.filled for c in kv) if kv else 0
     if t0 + t > cfg.max_context:
         raise ContextLengthError(f"sequence length {t0 + t} exceeds max_context {cfg.max_context}")
+    if kv and any(c.filled + t > c.capacity for c in kv):
+        raise ModelError(f"{t} more positions exceed a cache's capacity")
     if tok.min() < 0 or tok.max() >= cfg.vocab_size:
         raise ModelError("token id outside vocabulary")
     if kv is None and b >= 2:
         # Two fixed row halves on two threads; numpy releases the GIL in BLAS
         # and ufuncs, so they overlap. The split depends only on the shape.
         mid = (b + 1) // 2
-        halves = list(_POOL.map(lambda rows: _forward_rows(ckpt, rows, 0, None),
+        halves = list(_POOL.map(lambda rows: _forward_rows(ckpt, rows, None),
                                 (tok[:mid], tok[mid:])))
         return ForwardTrace(
             logits=np.concatenate([h.logits for h in halves]),
             hidden_states=[np.concatenate(hs) for hs in zip(*(h.hidden_states for h in halves))],
             tokens=tok, caches=[], final_cache={}, checkpoint=ckpt, halves=halves)
-    return _forward_rows(ckpt, tok, t0, kv)
+    return _forward_rows(ckpt, tok, kv)
 
 
-def _forward_rows(ckpt: Checkpoint, tok, t0: int, kv) -> ForwardTrace:
+def _forward_rows(ckpt: Checkpoint, tok, kv) -> ForwardTrace:
     """The layer loop over a validated (B, T) batch; it keeps activations unless `kv` is set."""
     cfg, p = ckpt.config, ckpt.params
     t = tok.shape[1]
     dt = cfg.np_dtype()
     scale = dt(cfg.head_dim ** -0.5)
-    causal = np.triu(np.full((t, t0 + t), -np.inf, dtype=dt), k=t0 + 1)
+    # causal masks of t queries at the last t of n keys; a one-token step needs none
+    masks = [None if t == 1 else np.triu(np.full((t, n), -np.inf, dtype=dt), k=n - t + 1)
+             for n in ([c.filled + t for c in kv] if kv else [t])]
+    starts = np.repeat([c.filled for c in kv], [c.rows for c in kv])[:, None] if kv else 0
 
     h = p["emb"][tok]
-    h += p["pos"][t0:t0 + t]
+    h += p["pos"][starts + np.arange(t)]
     hidden = [h]
     caches = []
     for i in range(cfg.n_layers):
@@ -314,18 +346,16 @@ def _forward_rows(ckpt: Checkpoint, tok, t0: int, kv) -> ForwardTrace:
         q = _split_heads(a @ p[lp + "att_q"], cfg.n_heads)
         k = _split_heads(a @ p[lp + "att_k"], cfg.n_heads)
         v = _split_heads(a @ p[lp + "att_v"], cfg.n_heads)
-        if kv is not None:
-            if i < len(kv):
-                k = np.concatenate([kv[i][0], k], axis=2)
-                v = np.concatenate([kv[i][1], v], axis=2)
-                kv[i] = (k, v)
-            else:
-                kv.append((k, v))
-        s = q @ k.transpose(0, 1, 3, 2)
-        s *= scale
-        s += causal
-        att = _softmax(s)
-        ctx = _merge_heads(att @ v)
+        if kv is None:
+            att, ctx = _attend(q, k, v, scale, masks[0])
+        else:
+            ctx, r = np.empty_like(q), 0
+            for c, mask in zip(kv, masks):
+                rows, end = slice(r, r + c.rows), c.filled + t
+                c.k[i][:, :, c.filled:end], c.v[i][:, :, c.filled:end] = k[rows], v[rows]
+                ctx[rows] = _attend(q[rows], c.k[i][:, :, :end], c.v[i][:, :, :end], scale, mask)[1]
+                r += c.rows
+        ctx = _merge_heads(ctx)
         h_mid = ctx @ p[lp + "att_o"]
         h_mid += h
         m_in, xhat2, inv2 = _layernorm_forward(h_mid, p[lp + "norm2"])
@@ -336,6 +366,8 @@ def _forward_rows(ckpt: Checkpoint, tok, t0: int, kv) -> ForwardTrace:
         if kv is None:
             caches.append(dict(a=a, xhat1=xhat1, inv1=inv1, q=q, k=k, v=v, att=att, ctx=ctx,
                                m_in=m_in, xhat2=xhat2, inv2=inv2, g=g, gp=gp))
+    for c in kv or ():
+        c.filled += t
     f, xhat_f, inv_f = _layernorm_forward(h, p["final_norm"])
     final_cache = {"f": f, "xhat_f": xhat_f, "inv_f": inv_f} if kv is None else {}
     return ForwardTrace(logits=f @ p["head"], hidden_states=hidden, tokens=tok,

@@ -368,6 +368,13 @@ class TestUnusableCheckpoint:
     def test_non_finite_forward(self, tmp_path, refused, command):
         refused(command, _save_init_ckpt(tmp_path / "huge.ckpt", scale=1e10))
 
+    # From 1e20 up the float32 layernorm variance overflows to inf instead, which
+    # would make the forward finite zeros: eval would score "accuracy 0.0000".
+    @pytest.mark.parametrize("scale", [1e20, 1e25, 1e30])
+    @pytest.mark.parametrize("command", sorted(set(CHECKPOINT_COMMANDS) - {"delta"}))
+    def test_layernorm_overflow(self, tmp_path, refused, command, scale):
+        refused(command, _save_init_ckpt(tmp_path / "huge.ckpt", scale=scale))
+
 
 class TestEvalCommand:
     def test_report_and_records(self, workspace):

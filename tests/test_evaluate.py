@@ -232,6 +232,70 @@ class TestGenerate:
         assert evaluate.item_seed(3, "a-001") != evaluate.item_seed(3, "a-002")
 
 
+class TestDecodeBatches:
+    """Rows sorted by prompt length decode DECODE_ROWS at a time, every group of a
+    batch in one forward per step; where the batches are cut changes no item."""
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        """Rows of each cache built, and rows of each decoding forward's caches."""
+        built, fed = [], []
+        real_cache, real_forward = model.KVCache, model.forward
+
+        def cache(config, rows, capacity):
+            built.append(rows)
+            return real_cache(config, rows, capacity)
+
+        def forward(ckpt, tokens, kv=None):
+            if kv is not None:
+                fed.append([c.rows for c in kv])
+            return real_forward(ckpt, tokens, kv=kv)
+
+        monkeypatch.setattr(model, "KVCache", cache)
+        monkeypatch.setattr(model, "forward", forward)
+        return built, fed
+
+    def test_boundaries_change_nothing(self, tiny_ckpt, tiny_config, vocab, monkeypatch,
+                                       recorded):
+        monkeypatch.setattr(evaluate, "DECODE_ROWS", 4)
+        ckpt = tiny_ckpt.copy()
+        head = ckpt.params["head"]  # some rows end early, as in the early-EOS test above
+        head[:, [vocab.eos, 41]] = head[:, [41, vocab.eos]]
+        long = tiny_config.max_context - 4  # this group fills its context after 3 tokens
+        prompts = ([[vocab.bos, k] for k in (4, 5, 6)]
+                   + [[vocab.bos, k, 9] for k in (4, 5, 6, 7, 2, 8)]
+                   + [[vocab.bos, 4, 9, 1, 3], [vocab.bos, 8, 8, 1, 3], [vocab.bos] + [4] * long])
+        ids = [f"x-{k}" for k in range(len(prompts))]
+        built, fed = recorded
+        for mode in ("greedy", "sample"):
+            cfg = evaluate.GenConfig(mode=mode, seed=11, max_new_tokens=16)
+            built.clear()
+            batched = assert_matches_oracle(ckpt, prompts, cfg, vocab)
+            # batches [2, 2, 2, 3 | 3, 3, 3, 3 | 3, 5, 5, long]: the length-3 group straddles
+            # all three, and the last batch's long group leaves while the other two go on
+            assert built == [3, 1, 4, 1, 2, 1]
+            assert max(map(len, fed)) == 3 and max(map(sum, fed)) == 4
+            for k, (prompt, item_id) in enumerate(zip(prompts, ids)):
+                alone = evaluate.generate_batch(ckpt, [prompt], [item_id], cfg, vocab)[0]
+                assert alone.generated == batched[k].generated
+                assert alone.terminated == batched[k].terminated
+            lengths = [len(r.generated) for r in batched]
+            assert lengths[-1] == 3 and max(lengths[-3:-1]) > 3, lengths
+            early = [n for r, n in zip(batched, lengths) if r.generated[-1] == vocab.eos]
+            assert early and min(early) < max(lengths), (mode, lengths)
+
+    def test_no_cache_exceeds_the_row_limit(self, tiny_ckpt, vocab, recorded):
+        rng = np.random.default_rng(2)
+        prompts = [[vocab.bos] + rng.integers(4, 20, size=n).tolist()
+                   for n in rng.integers(1, 4, size=110)]
+        cfg = evaluate.GenConfig(mode="greedy", max_new_tokens=3)
+        evaluate.generate_batch(tiny_ckpt, prompts, [str(k) for k in range(110)], cfg, vocab)
+        built, fed = recorded
+        assert sum(built) == 110
+        assert max(built) <= evaluate.DECODE_ROWS
+        assert max(map(sum, fed)) == evaluate.DECODE_ROWS
+
+
 class TestExtractAnswer:
     def result_from_text(self, vocab, text, terminated="EOS"):
         return evaluate.GenerationResult(

@@ -216,6 +216,21 @@ class TestForward:
         b = model.forward(tiny_ckpt, [3, 1, 4, 1, 5]).logits
         assert np.array_equal(a, b)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e20, 1e25, 1e30])
+    def test_layernorm_overflow_refused(self, vocab, scale):
+        """Weights this large are finite, but overflow the float32 layernorm variance to
+        inf, which would make each row the norm's shift and the logits finite zeros."""
+        cfg = model.ModelConfig(vocab_size=len(vocab), d_model=8, n_layers=2, n_heads=2, d_ff=16)
+        ckpt = model.init(cfg)
+        for w in ckpt.params.values():
+            w *= scale
+        ckpt.validate()
+        for tokens, kv in (([[1, 2, 3]], None), ([[1, 2, 3], [4, 5, 6]], None),
+                           ([[1, 2, 3]], [model.KVCache(cfg, 1, 3)])):
+            with pytest.raises(model.ModelError, match="layernorm"):
+                model.forward(ckpt, tokens, kv=kv)
+
 
 def incremental_forward(ckpt, tokens, chunks):
     """Run a (B, T) batch through a key/value cache in chunks of the given sizes.
@@ -223,13 +238,12 @@ def incremental_forward(ckpt, tokens, chunks):
     Returns logits and hidden states concatenated over time, as full-forward
     shaped arrays.
     """
-    kv, start, traces = [], 0, []
+    cache, start, traces = model.KVCache(ckpt.config, tokens.shape[0], tokens.shape[1]), 0, []
     for n in chunks:
-        traces.append(model.forward(ckpt, tokens[:, start:start + n], kv=kv))
+        traces.append(model.forward(ckpt, tokens[:, start:start + n], kv=[cache]))
         start += n
-    assert start == tokens.shape[1]
-    assert len(kv) == ckpt.config.n_layers
-    assert all(k.shape[2] == v.shape[2] == start for k, v in kv)
+        assert cache.filled == start
+    assert start == tokens.shape[1] == cache.capacity
     logits = np.concatenate([t.logits for t in traces], axis=1)
     hidden = [np.concatenate([t.hidden_states[i] for t in traces], axis=1)
               for i in range(ckpt.config.n_layers + 1)]
@@ -262,22 +276,69 @@ class TestKVCache:
 
     def test_cache_past_context_rejected(self, tiny_ckpt, tiny_config):
         n = tiny_config.max_context
-        kv = []
-        model.forward(tiny_ckpt, [[1] * (n - 2)], kv=kv)
+        cache = model.KVCache(tiny_config, 1, n + 4)  # room past the context
+        model.forward(tiny_ckpt, [[1] * (n - 2)], kv=[cache])
+        with pytest.raises(model.ContextLengthError):
+            model.forward(tiny_ckpt, [[2, 3, 4]], kv=[cache])
+        assert cache.filled == n - 2
+        model.forward(tiny_ckpt, [[2, 3]], kv=[cache])
+        assert cache.filled == n
+        with pytest.raises(model.ContextLengthError):
+            model.forward(tiny_ckpt, [[2]], kv=[cache])
+
+    def test_cache_past_capacity_rejected(self, tiny_ckpt, tiny_config):
+        cache = model.KVCache(tiny_config, 2, 6)
+        model.forward(tiny_ckpt, [[1, 2, 3], [4, 5, 6]], kv=[cache])
         with pytest.raises(model.ModelError):
-            model.forward(tiny_ckpt, [[2, 3, 4]], kv=kv)
-        model.forward(tiny_ckpt, [[2, 3]], kv=kv)
-        assert kv[0][0].shape[2] == n
+            model.forward(tiny_ckpt, [[7] * 4, [8] * 4], kv=[cache])
+        assert cache.filled == 3
+        model.forward(tiny_ckpt, [[7] * 3, [8] * 3], kv=[cache])
+        assert cache.filled == 6
         with pytest.raises(model.ModelError):
-            model.forward(tiny_ckpt, [[2]], kv=kv)
+            model.forward(tiny_ckpt, [[7], [8]], kv=[cache])
+
+    def test_rows_must_be_the_caches(self, tiny_ckpt, tiny_config):
+        caches = [model.KVCache(tiny_config, 2, 8), model.KVCache(tiny_config, 1, 8)]
+        for rows in (2, 4):
+            with pytest.raises(model.ModelError):
+                model.forward(tiny_ckpt, [[1, 2]] * rows, kv=caches)
+        assert [c.filled for c in caches] == [0, 0]
 
     def test_decoding_step_cannot_be_backpropagated(self, tiny_ckpt):
-        kv = []
+        cache = model.KVCache(tiny_ckpt.config, 2, 4)
         for feed in ([[1, 2, 3], [4, 5, 6]], [[7], [8]]):
-            trace = model.forward(tiny_ckpt, feed, kv=kv)
+            trace = model.forward(tiny_ckpt, feed, kv=[cache])
             assert trace.caches == [] and trace.final_cache == {}
             with pytest.raises(model.ModelError):
                 model.backward(trace, np.ones_like(trace.logits))
+
+
+class TestSideBySideCaches:
+    """One forward over several caches gives each cache's rows the bits of a forward
+    over that cache alone; this keeps decoded records byte-identical however the
+    prompts are batched."""
+
+    def test_bit_equal_to_one_cache_at_a_time(self, vocab):
+        cfg = model.ModelConfig(vocab_size=len(vocab), rng_seed=6)
+        ckpt = model.init(cfg)
+        assert cfg.dtype == "float32" and cfg.d_model == 64
+        rng = np.random.default_rng(21)
+        prompts = [rng.integers(0, cfg.vocab_size, size=(3, 5)),
+                   rng.integers(0, cfg.vocab_size, size=(2, 9))]
+        joint = [model.KVCache(cfg, len(p), 20) for p in prompts]
+        solo = [model.KVCache(cfg, len(p), 20) for p in prompts]
+        for p, cj, cs in zip(prompts, joint, solo):
+            model.forward(ckpt, p, kv=[cj])
+            model.forward(ckpt, p, kv=[cs])
+        for t in (1, 1, 3, 1):  # single tokens, and a chunk whose masks differ per cache
+            feed = rng.integers(0, cfg.vocab_size, size=(5, t))
+            both = model.forward(ckpt, feed, kv=joint)
+            for rows, cache in ((slice(0, 3), solo[0]), (slice(3, 5), solo[1])):
+                alone = model.forward(ckpt, feed[rows], kv=[cache])
+                assert np.array_equal(both.logits[rows], alone.logits)
+                for got, want in zip(both.hidden_states, alone.hidden_states, strict=True):
+                    assert np.array_equal(got[rows], want)
+        assert [c.filled for c in joint] == [c.filled for c in solo] == [11, 15]
 
 
 class TestBackward:
@@ -355,7 +416,8 @@ class TestBatchSplit:
         assert [h.tokens.tolist() for h in trace.halves] == [rows[:3].tolist(), rows[3:].tolist()]
         assert trace.caches == [] and all(h.caches for h in trace.halves)
         assert model.forward(tiny_ckpt, rows[:1]).halves == []
-        assert model.forward(tiny_ckpt, rows, kv=[]).halves == []
+        cache = model.KVCache(tiny_ckpt.config, 5, 4)
+        assert model.forward(tiny_ckpt, rows, kv=[cache]).halves == []
 
     def test_finite_difference_on_split_batch(self, tiny_config):
         ckpt = model.init(tiny_config)
