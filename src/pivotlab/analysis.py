@@ -2,12 +2,10 @@
 
 Two probes over trained models: layer-wise cross-lingual retrieval
 accuracy of mean-pooled hidden states, and per-tensor mean-absolute-difference
-maps between checkpoints.
+maps between checkpoints. Each report is the dict the CLI writes.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,42 +27,34 @@ def check_settings(n_retrieval_items: int, scope: str) -> None:
         raise AnalysisError("a retrieval probe needs at least one item")
 
 
-@dataclass
-class EmbeddingSet:
-    layer: int
-    items: list          # list of (item id, vector)
-    language: str
-    scope: str
+def retrieval_accuracy(target_items: list, pivot_items: list) -> dict:
+    """Accuracy@1 of cosine nearest-neighbour retrieval, target -> pivot, over two
+    lists of (item id, vector).
 
-
-def retrieval_accuracy(target_set: EmbeddingSet, pivot_set: EmbeddingSet) -> dict:
-    """Accuracy@1 of cosine nearest-neighbour retrieval, target -> pivot.
-
-    Ties break toward the lexicographically lowest pivot id; zero vectors
-    (cosine undefined) are recorded and scored as misses.
+    Ties break toward the lexicographically lowest pivot id. Zero vectors (cosine
+    undefined) are recorded: a zero target is a miss, and a zero pivot is never a
+    neighbour, so a target with no nonzero candidate is a miss too.
     """
-    if target_set.layer != pivot_set.layer:
-        raise AnalysisError("embedding sets come from different layers")
-    t_ids = [iid for iid, _ in target_set.items]
-    p_ids = [iid for iid, _ in pivot_set.items]
-    if set(t_ids) != set(p_ids):
+    t_ids = [iid for iid, _ in target_items]
+    if set(t_ids) != {iid for iid, _ in pivot_items}:
         raise AnalysisError("embedding sets cover different item ids")
-    p_order = sorted(range(len(p_ids)), key=lambda j: p_ids[j])
-    p_mat = np.stack([pivot_set.items[j][1] for j in p_order]).astype(np.float64)
+    pivots = sorted(pivot_items, key=lambda item: item[0])
+    p_mat = np.stack([vec for _, vec in pivots]).astype(np.float64)
     p_norm = np.linalg.norm(p_mat, axis=1)
+    nonzero = p_norm != 0.0
+    zero_vector_items = [pid for (pid, _), ok in zip(pivots, nonzero) if not ok]
+    candidates = [pid for (pid, _), ok in zip(pivots, nonzero) if ok]
+    p_mat, p_norm = p_mat[nonzero], p_norm[nonzero]
     hits = 0
-    zero_vector_items = []
-    for iid, vec in target_set.items:
+    for iid, vec in target_items:
         v = vec.astype(np.float64)
         nv = np.linalg.norm(v)
-        if nv == 0.0 or np.any(p_norm == 0.0):
-            bad = [iid] if nv == 0.0 else [p_ids[p_order[j]] for j in np.where(p_norm == 0.0)[0]]
-            zero_vector_items.extend(bad)
-            continue
-        sims = (p_mat @ v) / (p_norm * nv)
-        best = int(np.argmax(sims))  # argmax keeps the first (lowest-id) maximum
-        if p_ids[p_order[best]] == iid:
-            hits += 1
+        if nv == 0.0:
+            zero_vector_items.append(iid)
+        elif candidates:
+            sims = (p_mat @ v) / (p_norm * nv)
+            # argmax keeps the first (lowest-id) maximum
+            hits += candidates[int(np.argmax(sims))] == iid
     return {
         "accuracy": hits / len(t_ids),
         "n": len(t_ids),
@@ -72,10 +62,13 @@ def retrieval_accuracy(target_set: EmbeddingSet, pivot_set: EmbeddingSet) -> dic
     }
 
 
-def _all_layer_embeddings(ckpt, items, scope, vocab, max_new_tokens):
-    """One forward per item; mean-pooled vectors for every layer at once.
+def embed(ckpt: model.Checkpoint, items: list, scope: str, vocab: corpus.Vocab | None = None,
+          max_new_tokens: int = 192) -> list:
+    """Mean token hidden state of each (id, token sequence) item, at every hidden state:
+    one list of (id, vector) per layer, the input embedding's first.
 
-    Trace generation (when the scope asks for it) is batched across items.
+    One forward per item. QUESTION_PLUS_COT first appends the model's greedy-decoded
+    reasoning trace, batched across items, to each question, which requires a vocab.
     """
     check_settings(len(items), scope)
     for iid, tokens in items:
@@ -99,32 +92,14 @@ def _all_layer_embeddings(ckpt, items, scope, vocab, max_new_tokens):
     return per_layer
 
 
-def embed(ckpt: model.Checkpoint, items: list, layer: int, scope: str,
-          language: str = "", vocab: corpus.Vocab | None = None,
-          max_new_tokens: int = 192) -> EmbeddingSet:
-    """Mean token hidden state at `layer` for each (id, token sequence) item.
-
-    QUESTION_PLUS_COT appends the model's greedy-decoded reasoning trace to
-    each question before embedding, which requires a vocab.
-    """
-    if not 0 <= layer <= ckpt.config.n_layers:
-        raise AnalysisError(f"layer {layer} outside [0, {ckpt.config.n_layers}]")
-    vectors = _all_layer_embeddings(ckpt, items, scope, vocab, max_new_tokens)[layer]
-    return EmbeddingSet(layer=layer, items=vectors, language=language, scope=scope)
-
-
 def retrieval_report(ckpt: model.Checkpoint, paired_items: list, scope: str,
                      vocab: corpus.Vocab, max_new_tokens: int = 192) -> dict:
     """Per-layer retrieval accuracy for (id, target tokens, pivot tokens) pairs."""
-    target_items = [(iid, t) for iid, t, _ in paired_items]
-    pivot_items = [(iid, p) for iid, _, p in paired_items]
-    t_layers = _all_layer_embeddings(ckpt, target_items, scope, vocab, max_new_tokens)
-    p_layers = _all_layer_embeddings(ckpt, pivot_items, scope, vocab, max_new_tokens)
-    per_layer = []
-    for layer in range(ckpt.config.n_layers + 1):
-        t_set = EmbeddingSet(layer=layer, items=t_layers[layer], language="TARGET", scope=scope)
-        p_set = EmbeddingSet(layer=layer, items=p_layers[layer], language="PIVOT", scope=scope)
-        per_layer.append(retrieval_accuracy(t_set, p_set)["accuracy"])
+    t_layers = embed(ckpt, [(iid, t) for iid, t, _ in paired_items], scope, vocab,
+                     max_new_tokens)
+    p_layers = embed(ckpt, [(iid, p) for iid, _, p in paired_items], scope, vocab,
+                     max_new_tokens)
+    per_layer = [retrieval_accuracy(t, p)["accuracy"] for t, p in zip(t_layers, p_layers)]
     return {
         "scope": scope,
         "per_layer_accuracy": per_layer,
@@ -134,25 +109,9 @@ def retrieval_report(ckpt: model.Checkpoint, paired_items: list, scope: str,
     }
 
 
-@dataclass
-class DeltaReport:
-    per_path: dict       # path -> mean |a - b|
-    per_layer: dict      # layer index (as str) -> count-weighted mean
-    per_role: dict       # role -> count-weighted mean
-    grand_total: float
-    param_counts: dict
-
-    def to_json(self) -> dict:
-        return {
-            "per_path": self.per_path,
-            "per_layer": self.per_layer,
-            "per_role": self.per_role,
-            "grand_total": self.grand_total,
-        }
-
-
-def delta_map(ckpt_a: model.Checkpoint, ckpt_b: model.Checkpoint) -> DeltaReport:
-    """Mean absolute difference per parameter tensor, with aggregates."""
+def delta_map(ckpt_a: model.Checkpoint, ckpt_b: model.Checkpoint) -> dict:
+    """Mean absolute difference per parameter tensor (`per_path`), with its
+    count-weighted means per layer index (as str), per role and over all tensors."""
     paths_a = set(ckpt_a.params)
     if paths_a != set(ckpt_b.params):
         raise AnalysisError("checkpoints have different parameter sets")
@@ -170,16 +129,18 @@ def delta_map(ckpt_a: model.Checkpoint, ckpt_b: model.Checkpoint) -> DeltaReport
         return sum(per_path[p] * counts[p] for p in paths) / total
 
     layers = sorted({model.path_layer(p) for p in per_path if model.path_layer(p) is not None})
-    per_layer = {str(li): weighted([p for p in per_path if model.path_layer(p) == li])
-                 for li in layers}
     roles = sorted({model.path_role(p) for p in per_path})
-    per_role = {role: weighted([p for p in per_path if model.path_role(p) == role])
-                for role in roles}
-    return DeltaReport(per_path=per_path, per_layer=per_layer, per_role=per_role,
-                       grand_total=weighted(list(per_path)), param_counts=counts)
+    return {
+        "per_path": per_path,
+        "per_layer": {str(li): weighted([p for p in per_path if model.path_layer(p) == li])
+                      for li in layers},
+        "per_role": {role: weighted([p for p in per_path if model.path_role(p) == role])
+                     for role in roles},
+        "grand_total": weighted(list(per_path)),
+    }
 
 
-def delta_ratio(report_a: DeltaReport, report_b: DeltaReport) -> float:
-    if report_b.grand_total == 0.0:
+def delta_ratio(report_a: dict, report_b: dict) -> float:
+    if report_b["grand_total"] == 0.0:
         raise AnalysisError("cannot form a ratio against an all-zero delta map")
-    return report_a.grand_total / report_b.grand_total
+    return report_a["grand_total"] / report_b["grand_total"]

@@ -260,13 +260,13 @@ def _retrieval(cfg: dict, ckpt, scope: str, path: str) -> dict:
 
 def _delta(cfg: dict, ckpt_a, ckpt_b, path: str):
     report = analysis.delta_map(ckpt_a, ckpt_b)
-    write_json(report.to_json(), path, cfg)
+    write_json(report, path, cfg)
     return report
 
 
 def _correction(cfg: dict, base: list, new: list, path: str):
     matrix = evaluate.correction_matrix(base, new)
-    write_json(matrix.to_json(), path, cfg)
+    write_json(matrix, path, cfg)
     return matrix
 
 
@@ -310,9 +310,9 @@ def cmd_delta(args, cfg: dict, out: str) -> None:
     report = _delta(cfg, _load_checkpoint(args.ckpt_a), _load_checkpoint(args.ckpt_b),
                     os.path.join(out, "delta.json"))
     _write_lines(["path,delta"] + [f"{path},{val!r}" for path, val
-                                   in sorted(report.per_path.items())],
+                                   in sorted(report["per_path"].items())],
                  os.path.join(out, "delta.csv"), cfg)
-    print(f"grand total {report.grand_total:.6e}")
+    print(f"grand total {report['grand_total']:.6e}")
 
 
 def _load_records(path: str) -> list:
@@ -338,7 +338,8 @@ def _load_records(path: str) -> list:
 def cmd_correction(args, cfg: dict, out: str) -> None:
     matrix = _correction(cfg, _load_records(args.base_records), _load_records(args.new_records),
                          os.path.join(out, "correction.json"))
-    print(f"ic {float(matrix.ic):.4f} ci {float(matrix.ci):.4f}")
+    rates = matrix["rates"]
+    print(f"ic {rates['ic']:.4f} ci {rates['ci']:.4f}")
 
 
 def _ema_cot_at(rows: list, step: int) -> float:
@@ -402,10 +403,10 @@ def _run_seed(cfg: dict, out: str) -> dict:
                            "native": _ema_cot_at(logs["native"], 10)},
         "best_retrieval": {"pivoted": retrieval["pivoted"]["best_accuracy"],
                            "native": retrieval["native"]["best_accuracy"]},
-        "delta_grand_total": {"pivoted": deltas["pivoted"].grand_total,
-                              "native": deltas["native"].grand_total},
+        "delta_grand_total": {"pivoted": deltas["pivoted"]["grand_total"],
+                              "native": deltas["native"]["grand_total"]},
         "pivoted_conformance": evals["pivoted_target"]["conformance_mean"],
-        "correction": matrix.to_json(),
+        "correction": matrix,
     }
     outcome["checks"] = {
         "a_target_accuracy": outcome["target_accuracy"]["pivoted"]

@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -18,10 +17,6 @@ DECODE_ROWS = 48
 
 
 class EvalError(Exception):
-    pass
-
-
-class PromptTooLongError(EvalError, model.ContextLengthError):
     pass
 
 
@@ -110,7 +105,7 @@ def generate_batch(ckpt: model.Checkpoint, prompts: list, ids: list, cfg: GenCon
     cfg.validate()
     n_ctx = ckpt.config.max_context
     if any(len(p) >= n_ctx for p in prompts):
-        raise PromptTooLongError("prompt does not fit the model context")
+        raise model.ContextLengthError("prompt does not fit the model context")
     rngs = [np.random.default_rng(item_seed(cfg.seed, i)) for i in ids]
     gens = [[] for _ in prompts]
     done = np.zeros(len(prompts), dtype=bool)
@@ -224,51 +219,9 @@ def _summarize(records) -> dict:
     return out
 
 
-@dataclass
-class CorrectionMatrix:
-    n_items: int
-    n_cc: int  # base correct -> new correct
-    n_ci: int  # base correct -> new incorrect
-    n_ic: int  # base incorrect -> new correct
-    n_ii: int  # base incorrect -> new incorrect
-
-    @property
-    def cc(self) -> Fraction:
-        return Fraction(self.n_cc, self.n_items)
-
-    @property
-    def ci(self) -> Fraction:
-        return Fraction(self.n_ci, self.n_items)
-
-    @property
-    def ic(self) -> Fraction:
-        return Fraction(self.n_ic, self.n_items)
-
-    @property
-    def ii(self) -> Fraction:
-        return Fraction(self.n_ii, self.n_items)
-
-    @property
-    def acc_base(self) -> Fraction:
-        return self.cc + self.ci
-
-    @property
-    def acc_new(self) -> Fraction:
-        return self.cc + self.ic
-
-    def to_json(self) -> dict:
-        return {
-            "n_items": self.n_items,
-            "counts": {"cc": self.n_cc, "ci": self.n_ci, "ic": self.n_ic, "ii": self.n_ii},
-            "rates": {"cc": float(self.cc), "ci": float(self.ci),
-                      "ic": float(self.ic), "ii": float(self.ii)},
-            "acc_base": float(self.acc_base),
-            "acc_new": float(self.acc_new),
-        }
-
-
-def correction_matrix(base_records, new_records) -> CorrectionMatrix:
-    """Correctness-transition counts between two per-item record sets."""
+def correction_matrix(base_records, new_records) -> dict:
+    """Correctness transitions between two per-item record sets: the count and the rate
+    of each (cc: base correct -> new correct, ci, ic, ii), and both accuracies."""
     base = {r["id"]: bool(r["correct"]) for r in base_records}
     new = {r["id"]: bool(r["correct"]) for r in new_records}
     if len(base) < len(base_records) or len(new) < len(new_records):
@@ -279,8 +232,12 @@ def correction_matrix(base_records, new_records) -> CorrectionMatrix:
         raise EvalError("empty record sets")
     counts = {"cc": 0, "ci": 0, "ic": 0, "ii": 0}
     for iid, b in base.items():
-        n = new[iid]
-        key = ("c" if b else "i") + ("c" if n else "i")
-        counts[key] += 1
-    return CorrectionMatrix(n_items=len(base), n_cc=counts["cc"], n_ci=counts["ci"],
-                            n_ic=counts["ic"], n_ii=counts["ii"])
+        counts[("c" if b else "i") + ("c" if new[iid] else "i")] += 1
+    n = len(base)
+    return {
+        "n_items": n,
+        "counts": counts,
+        "rates": {key: c / n for key, c in counts.items()},
+        "acc_base": (counts["cc"] + counts["ci"]) / n,
+        "acc_new": (counts["cc"] + counts["ic"]) / n,
+    }

@@ -23,10 +23,6 @@ class TrainError(Exception):
     pass
 
 
-class SampleTooLongError(TrainError, model.ContextLengthError):
-    pass
-
-
 @dataclass
 class TrainConfig:
     alpha: float = 1.0
@@ -190,7 +186,7 @@ def train(dataset, ckpt: model.Checkpoint, cfg: TrainConfig, vocab: corpus.Vocab
         raise TrainError("empty dataset")
     for s in dataset:
         if len(s.tokens) > ckpt.config.max_context:
-            raise SampleTooLongError(
+            raise model.ContextLengthError(
                 f"sample {s.id} has {len(s.tokens)} tokens, exceeding max_context "
                 f"{ckpt.config.max_context}")
     batches = make_batches(dataset, cfg.batch_size)

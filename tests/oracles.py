@@ -75,9 +75,8 @@ def _with_trace(ckpt: model.Checkpoint, tokens, vocab: corpus.Vocab,
 
 
 def embed(ckpt: model.Checkpoint, items: list, layer: int, scope: str,
-          language: str = "", vocab: corpus.Vocab | None = None,
-          max_new_tokens: int = 192) -> analysis.EmbeddingSet:
-    """Mean token hidden state at `layer` for each (id, token sequence) item."""
+          vocab: corpus.Vocab | None = None, max_new_tokens: int = 192) -> list:
+    """(id, mean token hidden state at `layer`) for each (id, token sequence) item."""
     if scope not in analysis.SCOPES:
         raise analysis.AnalysisError(f"unknown scope {scope!r}")
     if not 0 <= layer <= ckpt.config.n_layers:
@@ -93,7 +92,7 @@ def embed(ckpt: model.Checkpoint, items: list, layer: int, scope: str,
             seq = _with_trace(ckpt, tokens, vocab, max_new_tokens)
         trace = model.forward(ckpt, seq)
         vectors.append((iid, trace.hidden_states[layer][0].mean(axis=0)))
-    return analysis.EmbeddingSet(layer=layer, items=vectors, language=language, scope=scope)
+    return vectors
 
 
 def _layernorm_forward(x, w):

@@ -24,60 +24,58 @@ class TestEmbed:
     def test_layer_zero_is_mean_input_embedding(self, tiny_ckpt, vocab):
         """Oracle: layer 0 vectors equal hand-computed emb + pos means."""
         tokens = [3, 7, 1]
-        es = analysis.embed(tiny_ckpt, [("a", tokens)], 0, "QUESTION_ONLY")
+        layers = analysis.embed(tiny_ckpt, [("a", tokens)], "QUESTION_ONLY")
         expected = (tiny_ckpt.params["emb"][tokens] + tiny_ckpt.params["pos"][:3]).mean(axis=0)
-        assert np.allclose(es.items[0][1], expected, atol=1e-12)
+        assert np.allclose(layers[0][0][1], expected, atol=1e-12)
 
     def test_vector_shape_and_count(self, tiny_ckpt, tiny_config, vocab, languages):
         items = [(iid, t) for iid, t, _ in paired_items(vocab, languages, n=4)]
-        es = analysis.embed(tiny_ckpt, items, 2, "QUESTION_ONLY")
-        assert len(es.items) == 4
-        assert all(v.shape == (tiny_config.d_model,) for _, v in es.items)
-        assert es.layer == 2 and es.scope == "QUESTION_ONLY"
+        layers = analysis.embed(tiny_ckpt, items, "QUESTION_ONLY")
+        assert len(layers) == tiny_config.n_layers + 1
+        for vectors in layers:
+            assert [iid for iid, _ in vectors] == [iid for iid, _ in items]
+            assert all(v.shape == (tiny_config.d_model,) for _, v in vectors)
 
-    def test_bad_layer_and_scope(self, tiny_ckpt, tiny_config):
+    def test_bad_scope_rejected(self, tiny_ckpt):
         with pytest.raises(analysis.AnalysisError):
-            analysis.embed(tiny_ckpt, [("a", [1])], tiny_config.n_layers + 1, "QUESTION_ONLY")
-        with pytest.raises(analysis.AnalysisError):
-            analysis.embed(tiny_ckpt, [("a", [1])], 0, "WHOLE_SEQUENCE")
+            analysis.embed(tiny_ckpt, [("a", [1])], "WHOLE_SEQUENCE")
 
     def test_empty_item_rejected(self, tiny_ckpt, vocab):
         for scope in analysis.SCOPES:
             with pytest.raises(analysis.AnalysisError, match="empty token sequence"):
-                analysis.embed(tiny_ckpt, [("a", [])], 0, scope, vocab=vocab)
+                analysis.embed(tiny_ckpt, [("a", [])], scope, vocab=vocab)
 
     def test_question_plus_cot_requires_vocab(self, tiny_ckpt):
         with pytest.raises(analysis.AnalysisError):
-            analysis.embed(tiny_ckpt, [("a", [1, 2])], 0, "QUESTION_PLUS_COT")
+            analysis.embed(tiny_ckpt, [("a", [1, 2])], "QUESTION_PLUS_COT")
 
     def test_question_plus_cot_extends_sequence(self, tiny_ckpt, vocab):
         tokens = [vocab.bos, 5, 9]
-        plain = analysis.embed(tiny_ckpt, [("a", tokens)], 0, "QUESTION_ONLY")
-        with_cot = analysis.embed(tiny_ckpt, [("a", tokens)], 0, "QUESTION_PLUS_COT",
+        plain = analysis.embed(tiny_ckpt, [("a", tokens)], "QUESTION_ONLY")
+        with_cot = analysis.embed(tiny_ckpt, [("a", tokens)], "QUESTION_PLUS_COT",
                                   vocab=vocab, max_new_tokens=8)
         # the greedy trace of an untrained model is almost surely non-empty,
         # so the pooled vector changes
-        assert not np.allclose(plain.items[0][1], with_cot.items[0][1])
+        assert not np.allclose(plain[0][0][1], with_cot[0][0][1])
 
     def test_matches_oracle(self, tiny_ckpt, tiny_config, vocab, languages):
-        """Batched, cached embed agrees with the one-item uncached oracle."""
+        """Batched, cached embed agrees with the one-item uncached oracle at every layer."""
         items = [(iid, t) for iid, t, _ in paired_items(vocab, languages, n=4, seed=5)]
-        for layer in range(tiny_config.n_layers + 1):
-            for scope in analysis.SCOPES:
-                got = analysis.embed(tiny_ckpt, items, layer, scope, vocab=vocab,
-                                     max_new_tokens=12)
+        for scope in analysis.SCOPES:
+            layers = analysis.embed(tiny_ckpt, items, scope, vocab=vocab, max_new_tokens=12)
+            assert len(layers) == tiny_config.n_layers + 1
+            for layer, got in enumerate(layers):
                 want = oracles.embed(tiny_ckpt, items, layer, scope, vocab=vocab,
                                      max_new_tokens=12)
-                for (gi, gv), (wi, wv) in zip(got.items, want.items):
+                assert len(got) == len(want)
+                for (gi, gv), (wi, wv) in zip(got, want):
                     assert gi == wi
                     assert np.allclose(gv, wv, rtol=0, atol=1e-10)
 
 
 class TestRetrievalAccuracy:
-    def make_set(self, vecs, layer=1, language="TARGET"):
-        items = [(f"i-{k}", np.asarray(v, dtype=np.float64)) for k, v in enumerate(vecs)]
-        return analysis.EmbeddingSet(layer=layer, items=items, language=language,
-                                     scope="QUESTION_ONLY")
+    def make_set(self, vecs):
+        return [(f"i-{k}", np.asarray(v, dtype=np.float64)) for k, v in enumerate(vecs)]
 
     def test_identical_sets_score_one(self):
         vecs = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
@@ -96,21 +94,21 @@ class TestRetrievalAccuracy:
         assert analysis.retrieval_accuracy(t, p)["accuracy"] == 0.0
 
     def test_zero_vector_is_miss_and_recorded(self):
-        t = self.make_set([[0.0, 0.0], [1.0, 0.0]])
-        p = self.make_set([[0.0, 1.0], [1.0, 0.0]])
-        r = analysis.retrieval_accuracy(t, p)
-        assert r["accuracy"] == 0.5
-        assert "i-0" in r["zero_vector_items"]
-
-    def test_layer_mismatch_rejected(self):
-        with pytest.raises(analysis.AnalysisError):
-            analysis.retrieval_accuracy(self.make_set([[1.0]], layer=0),
-                                        self.make_set([[1.0]], layer=1))
+        # (targets, pivots, accuracy, zero-vector ids): a zero target is a miss; a zero
+        # pivot is never a neighbour, and a target with no nonzero candidate is a miss
+        cases = [
+            ([[0.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]], 0.5, ["i-0"]),
+            ([[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 1.0]], 0.5, ["i-0"]),
+            ([[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]], 0.0, ["i-0", "i-1"]),
+        ]
+        for targets, pivots, accuracy, zeros in cases:
+            r = analysis.retrieval_accuracy(self.make_set(targets), self.make_set(pivots))
+            assert r["accuracy"] == accuracy, (targets, pivots)
+            assert r["zero_vector_items"] == zeros
 
     def test_id_mismatch_rejected(self):
         t = self.make_set([[1.0]])
-        p = analysis.EmbeddingSet(layer=1, items=[("other", np.array([1.0]))],
-                                  language="PIVOT", scope="QUESTION_ONLY")
+        p = [("other", np.array([1.0]))]
         with pytest.raises(analysis.AnalysisError):
             analysis.retrieval_accuracy(t, p)
 
@@ -143,35 +141,35 @@ class TestRetrievalReport:
 class TestDeltaMap:
     def test_identical_checkpoints_are_zero(self, tiny_ckpt):
         rep = analysis.delta_map(tiny_ckpt, tiny_ckpt.copy())
-        assert rep.grand_total == 0.0
-        assert all(v == 0.0 for v in rep.per_path.values())
+        assert rep["grand_total"] == 0.0
+        assert all(v == 0.0 for v in rep["per_path"].values())
 
     def test_known_perturbation(self, tiny_ckpt, tiny_config):
         other = tiny_ckpt.copy()
         other.params["head"] += 0.5
         rep = analysis.delta_map(tiny_ckpt, other)
-        assert rep.per_path["head"] == pytest.approx(0.5)
-        assert rep.per_path["emb"] == 0.0
+        assert rep["per_path"]["head"] == pytest.approx(0.5)
+        assert rep["per_path"]["emb"] == 0.0
         # grand total is the count-weighted mean over all tensors
         n_head = tiny_config.d_model * tiny_config.vocab_size
-        n_all = sum(rep.param_counts.values())
-        assert rep.grand_total == pytest.approx(0.5 * n_head / n_all)
+        n_all = sum(v.size for v in tiny_ckpt.params.values())
+        assert rep["grand_total"] == pytest.approx(0.5 * n_head / n_all)
 
     def test_per_layer_and_role_aggregation(self, tiny_ckpt):
         other = tiny_ckpt.copy()
         other.params["L0.att_q"] += 1.0
         rep = analysis.delta_map(tiny_ckpt, other)
-        assert rep.per_layer["1"] == 0.0
-        assert rep.per_layer["0"] > 0.0
-        assert rep.per_role["ATT_Q"] > 0.0
-        assert rep.per_role["ATT_K"] == 0.0
+        assert rep["per_layer"]["1"] == 0.0
+        assert rep["per_layer"]["0"] > 0.0
+        assert rep["per_role"]["ATT_Q"] > 0.0
+        assert rep["per_role"]["ATT_K"] == 0.0
 
     def test_symmetry(self, tiny_ckpt):
         other = tiny_ckpt.copy()
         other.params["L1.mlp_up"] -= 0.25
         a = analysis.delta_map(tiny_ckpt, other)
         b = analysis.delta_map(other, tiny_ckpt)
-        assert a.per_path == b.per_path
+        assert a["per_path"] == b["per_path"]
 
     def test_ratio(self, tiny_ckpt):
         a = tiny_ckpt.copy()
@@ -185,5 +183,6 @@ class TestDeltaMap:
             analysis.delta_ratio(ra, analysis.delta_map(tiny_ckpt, tiny_ckpt))
 
     def test_to_json_keys(self, tiny_ckpt):
-        obj = analysis.delta_map(tiny_ckpt, tiny_ckpt).to_json()
+        """The report is the dict the CLI writes, with exactly these keys."""
+        obj = analysis.delta_map(tiny_ckpt, tiny_ckpt)
         assert set(obj) == {"per_path", "per_layer", "per_role", "grand_total"}

@@ -709,6 +709,13 @@ class TestSharedSteps:
                          "--ckpt-a", str(d / "model_pivoted.ckpt"), "--ckpt-b", str(init)]) == 0
         assert (out / "delta.json").read_bytes() == (d / "delta_pivoted.json").read_bytes()
 
+    def test_correction_matches_reproduce(self, seed_dir):
+        d, out = seed_dir["dir"], seed_dir["tmp"] / "correction"
+        assert cli.main(["correction", "--config", seed_dir["cfg"], "--out", str(out),
+                         "--base-records", str(d / "records_native_target.jsonl"),
+                         "--new-records", str(d / "records_pivoted_target.jsonl")]) == 0
+        assert (out / "correction.json").read_bytes() == (d / "correction.json").read_bytes()
+
 
 class TestReproduce:
     def test_single_seed_end_to_end(self, tmp_path, cfg_path):

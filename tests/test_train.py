@@ -234,7 +234,7 @@ class TestTrainLoop:
         dataset[0].tokens = dataset[0].tokens * 40
         dataset[0].mask = dataset[0].mask * 40
         cfg = train.TrainConfig(epochs=1, batch_size=2)
-        with pytest.raises(train.TrainError):
+        with pytest.raises(model.ContextLengthError):
             train.train(dataset, model.init(tiny_config), cfg, vocab)
 
     def test_batches_are_length_sorted(self, vocab, languages):
