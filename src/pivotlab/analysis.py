@@ -62,13 +62,13 @@ def retrieval_accuracy(target_items: list, pivot_items: list) -> dict:
     }
 
 
-def embed(ckpt: model.Checkpoint, items: list, scope: str, vocab: corpus.Vocab | None = None,
-          max_new_tokens: int = 192) -> list:
+def embed(ckpt: model.Checkpoint, items: list, scope: str, vocab: corpus.Vocab,
+          max_new_tokens: int) -> list:
     """Mean token hidden state of each (id, token sequence) item, at every hidden state:
     one list of (id, vector) per layer, the input embedding's first.
 
     One forward per item. QUESTION_PLUS_COT first appends the model's greedy-decoded
-    reasoning trace, batched across items, to each question, which requires a vocab.
+    reasoning trace of at most `max_new_tokens`, batched across items, to each question.
     """
     check_settings(len(items), scope)
     for iid, tokens in items:
@@ -76,8 +76,6 @@ def embed(ckpt: model.Checkpoint, items: list, scope: str, vocab: corpus.Vocab |
             raise AnalysisError(f"item {iid}: empty token sequence")
     seqs = [list(t) for _, t in items]
     if scope == "QUESTION_PLUS_COT":
-        if vocab is None:
-            raise AnalysisError("QUESTION_PLUS_COT requires a vocab")
         cfg = evaluate.GenConfig(mode="greedy", max_new_tokens=max_new_tokens)
         results = evaluate.generate_batch(ckpt, seqs, [iid for iid, _ in items], cfg, vocab)
         seqs = [s + r.cot_segment for s, r in zip(seqs, results)]
@@ -93,12 +91,10 @@ def embed(ckpt: model.Checkpoint, items: list, scope: str, vocab: corpus.Vocab |
 
 
 def retrieval_report(ckpt: model.Checkpoint, paired_items: list, scope: str,
-                     vocab: corpus.Vocab, max_new_tokens: int = 192) -> dict:
+                     vocab: corpus.Vocab, max_new_tokens: int) -> dict:
     """Per-layer retrieval accuracy for (id, target tokens, pivot tokens) pairs."""
-    t_layers = embed(ckpt, [(iid, t) for iid, t, _ in paired_items], scope, vocab,
-                     max_new_tokens)
-    p_layers = embed(ckpt, [(iid, p) for iid, _, p in paired_items], scope, vocab,
-                     max_new_tokens)
+    t_layers, p_layers = (embed(ckpt, [(item[0], item[side]) for item in paired_items], scope,
+                                vocab, max_new_tokens) for side in (1, 2))
     per_layer = [retrieval_accuracy(t, p)["accuracy"] for t, p in zip(t_layers, p_layers)]
     return {
         "scope": scope,

@@ -252,8 +252,7 @@ def _eval(cfg: dict, ckpt, testset, mode: str, cot_lang: str | None, records_pat
 
 def _retrieval(cfg: dict, ckpt, scope: str, path: str) -> dict:
     pairs = _paired_items(cfg, cfg["analysis"]["n_retrieval_items"], cfg["seed"])
-    report = analysis.retrieval_report(ckpt, pairs, scope, VOCAB,
-                                       max_new_tokens=cfg["eval"]["max_new_tokens"])
+    report = analysis.retrieval_report(ckpt, pairs, scope, VOCAB, cfg["eval"]["max_new_tokens"])
     write_json(report, path, cfg)
     return report
 

@@ -96,11 +96,12 @@ def generate_batch(ckpt: model.Checkpoint, prompts: list, ids: list, cfg: GenCon
 
     The prompts, sorted by length, are cut into decode batches of at most
     DECODE_ROWS rows. In a batch each prompt length is a group with one prefill
-    forward and its own cache; then each step feeds every group of the batch
-    one token per row in one forward, rows that reached EOS being fed pads. A
-    group leaves when all its rows are done or its context is full. Each item
-    draws from its own seeded RNG stream, so results do not depend on how the
-    prompts are grouped.
+    forward and its own cache, with room for the prompt and every token that is
+    fed; the last pick is never fed. Each step feeds every group of the batch
+    one token per row in one forward. A row leaves its group's cache when it
+    picks EOS, and a group leaves when it has no rows or its cache is full, so
+    no finished row is fed. Each item draws from its own seeded RNG stream, so
+    results do not depend on how the prompts are grouped.
     """
     cfg.validate()
     n_ctx = ckpt.config.max_context
@@ -108,36 +109,30 @@ def generate_batch(ckpt: model.Checkpoint, prompts: list, ids: list, cfg: GenCon
         raise model.ContextLengthError("prompt does not fit the model context")
     rngs = [np.random.default_rng(item_seed(cfg.seed, i)) for i in ids]
     gens = [[] for _ in prompts]
-    done = np.zeros(len(prompts), dtype=bool)
     order = sorted(range(len(prompts)), key=lambda i: len(prompts[i]))
     for start in range(0, len(order), DECODE_ROWS):
         groups = [np.array(list(g)) for _, g in itertools.groupby(
             order[start:start + DECODE_ROWS], key=lambda i: len(prompts[i]))]
-        caches = [model.KVCache(ckpt.config, len(g), min(n_ctx, len(prompts[g[0]]) +
-                                                         cfg.max_new_tokens)) for g in groups]
+        live = [(g, model.KVCache(ckpt.config, len(g), min(n_ctx, len(prompts[g[0]]) +
+                                                          cfg.max_new_tokens) - 1)) for g in groups]
         logits = np.concatenate([model.forward(ckpt, [prompts[i] for i in g], kv=[c]).logits[:, -1]
-                                 for g, c in zip(groups, caches)])
-        for step in range(cfg.max_new_tokens):
-            rows = np.concatenate(groups)
-            live = ~done[rows]
-            if not np.isfinite(logits[live]).all():
+                                 for g, c in live])
+        while live:
+            if not np.isfinite(logits).all():
                 raise EvalError("non-finite logits: the checkpoint's forward overflows")
-            picks = _select(logits[live], cfg, [rngs[i] for i in rows[live]])
-            for i, tok in zip(rows[live].tolist(), picks.tolist()):
+            rows = np.concatenate([g for g, _ in live])
+            picks = _select(logits, cfg, [rngs[i] for i in rows])
+            for i, tok in zip(rows.tolist(), picks.tolist()):
                 gens[i].append(tok)
-            done[rows[live]] = picks == vocab.eos
-            feed = np.full(len(rows), vocab.pad, dtype=np.int64)
-            feed[live] = picks
-            # the last step releases every cache before the next batch allocates its own
-            stay = [step + 1 < cfg.max_new_tokens and not done[g].all() and c.filled + 1 < n_ctx
-                    for g, c in zip(groups, caches)]
-            feed = feed[np.repeat(stay, [len(g) for g in groups])]
-            groups = [g for g, keep in zip(groups, stay) if keep]
-            caches = [c for c, keep in zip(caches, stay) if keep]
-            if not groups:
-                break
-            logits = model.forward(ckpt, feed[:, None], kv=caches).logits[:, -1]
-    return [_segment(p, g, d, vocab) for p, g, d in zip(prompts, gens, done)]
+            # A row leaves its cache at EOS, and a cache with no rows or no room leaves the
+            # batch, releasing its buffers before the next batch allocates its own.
+            stay = np.split(picks != vocab.eos, np.cumsum([len(g) for g, _ in live])[:-1])
+            live = [(g[k], c.keep(k)) for (g, c), k in zip(live, stay)
+                    if k.any() and c.filled < c.capacity]
+            if live:
+                logits = model.forward(ckpt, [[gens[i][-1]] for g, _ in live for i in g],
+                                       kv=[c for _, c in live]).logits[:, -1]
+    return [_segment(p, g, g[-1] == vocab.eos, vocab) for p, g in zip(prompts, gens)]
 
 
 def generate(ckpt: model.Checkpoint, prompt, cfg: GenConfig,

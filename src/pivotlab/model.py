@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, asdict, field, fields, replace
 
 import numpy as np
@@ -176,6 +176,15 @@ class KVCache:
         self.v = [np.empty(shape, dtype=config.np_dtype()) for _ in range(n)]
         self.rows, self.capacity, self.filled = rows, capacity, 0
 
+    def keep(self, mask) -> "KVCache":
+        """Only the rows where `mask` holds stay, in order; keeping every row copies nothing."""
+        n = int(np.count_nonzero(mask))
+        if n < self.rows:
+            for buf in self.k + self.v:
+                buf[:n, :, :self.filled] = buf[mask, :, :self.filled]
+            self.k, self.v, self.rows = [k[:n] for k in self.k], [v[:n] for v in self.v], n
+        return self
+
 
 @dataclass
 class ForwardTrace:
@@ -316,8 +325,9 @@ def forward(ckpt: Checkpoint, tokens, kv: list | None = None) -> ForwardTrace:
         # Two fixed row halves on two threads; numpy releases the GIL in BLAS
         # and ufuncs, so they overlap. The split depends only on the shape.
         mid = (b + 1) // 2
-        halves = list(_POOL.map(lambda rows: _forward_rows(ckpt, rows, None),
-                                (tok[:mid], tok[mid:])))
+        futures = [_POOL.submit(_forward_rows, ckpt, rows, None) for rows in (tok[:mid], tok[mid:])]
+        wait(futures)  # a half that raises must not leave the other running past the call
+        halves = [f.result() for f in futures]
         return ForwardTrace(
             logits=np.concatenate([h.logits for h in halves]),
             hidden_states=[np.concatenate(hs) for hs in zip(*(h.hidden_states for h in halves))],

@@ -75,7 +75,7 @@ def _with_trace(ckpt: model.Checkpoint, tokens, vocab: corpus.Vocab,
 
 
 def embed(ckpt: model.Checkpoint, items: list, layer: int, scope: str,
-          vocab: corpus.Vocab | None = None, max_new_tokens: int = 192) -> list:
+          vocab: corpus.Vocab, max_new_tokens: int) -> list:
     """(id, mean token hidden state at `layer`) for each (id, token sequence) item."""
     if scope not in analysis.SCOPES:
         raise analysis.AnalysisError(f"unknown scope {scope!r}")
@@ -87,8 +87,6 @@ def embed(ckpt: model.Checkpoint, items: list, layer: int, scope: str,
             raise analysis.AnalysisError(f"item {iid}: empty token sequence")
         seq = tokens
         if scope == "QUESTION_PLUS_COT":
-            if vocab is None:
-                raise analysis.AnalysisError("QUESTION_PLUS_COT requires a vocab")
             seq = _with_trace(ckpt, tokens, vocab, max_new_tokens)
         trace = model.forward(ckpt, seq)
         vectors.append((iid, trace.hidden_states[layer][0].mean(axis=0)))

@@ -24,34 +24,30 @@ class TestEmbed:
     def test_layer_zero_is_mean_input_embedding(self, tiny_ckpt, vocab):
         """Oracle: layer 0 vectors equal hand-computed emb + pos means."""
         tokens = [3, 7, 1]
-        layers = analysis.embed(tiny_ckpt, [("a", tokens)], "QUESTION_ONLY")
+        layers = analysis.embed(tiny_ckpt, [("a", tokens)], "QUESTION_ONLY", vocab, 8)
         expected = (tiny_ckpt.params["emb"][tokens] + tiny_ckpt.params["pos"][:3]).mean(axis=0)
         assert np.allclose(layers[0][0][1], expected, atol=1e-12)
 
     def test_vector_shape_and_count(self, tiny_ckpt, tiny_config, vocab, languages):
         items = [(iid, t) for iid, t, _ in paired_items(vocab, languages, n=4)]
-        layers = analysis.embed(tiny_ckpt, items, "QUESTION_ONLY")
+        layers = analysis.embed(tiny_ckpt, items, "QUESTION_ONLY", vocab, 8)
         assert len(layers) == tiny_config.n_layers + 1
         for vectors in layers:
             assert [iid for iid, _ in vectors] == [iid for iid, _ in items]
             assert all(v.shape == (tiny_config.d_model,) for _, v in vectors)
 
-    def test_bad_scope_rejected(self, tiny_ckpt):
+    def test_bad_scope_rejected(self, tiny_ckpt, vocab):
         with pytest.raises(analysis.AnalysisError):
-            analysis.embed(tiny_ckpt, [("a", [1])], "WHOLE_SEQUENCE")
+            analysis.embed(tiny_ckpt, [("a", [1])], "WHOLE_SEQUENCE", vocab, 8)
 
     def test_empty_item_rejected(self, tiny_ckpt, vocab):
         for scope in analysis.SCOPES:
             with pytest.raises(analysis.AnalysisError, match="empty token sequence"):
-                analysis.embed(tiny_ckpt, [("a", [])], scope, vocab=vocab)
-
-    def test_question_plus_cot_requires_vocab(self, tiny_ckpt):
-        with pytest.raises(analysis.AnalysisError):
-            analysis.embed(tiny_ckpt, [("a", [1, 2])], "QUESTION_PLUS_COT")
+                analysis.embed(tiny_ckpt, [("a", [])], scope, vocab, 8)
 
     def test_question_plus_cot_extends_sequence(self, tiny_ckpt, vocab):
         tokens = [vocab.bos, 5, 9]
-        plain = analysis.embed(tiny_ckpt, [("a", tokens)], "QUESTION_ONLY")
+        plain = analysis.embed(tiny_ckpt, [("a", tokens)], "QUESTION_ONLY", vocab, 8)
         with_cot = analysis.embed(tiny_ckpt, [("a", tokens)], "QUESTION_PLUS_COT",
                                   vocab=vocab, max_new_tokens=8)
         # the greedy trace of an untrained model is almost surely non-empty,
@@ -116,7 +112,7 @@ class TestRetrievalAccuracy:
 class TestRetrievalReport:
     def test_report_shape_and_consistency(self, tiny_ckpt, tiny_config, vocab, languages):
         pairs = paired_items(vocab, languages, n=5)
-        rep = analysis.retrieval_report(tiny_ckpt, pairs, "QUESTION_ONLY", vocab)
+        rep = analysis.retrieval_report(tiny_ckpt, pairs, "QUESTION_ONLY", vocab, 8)
         assert rep["scope"] == "QUESTION_ONLY"
         assert len(rep["per_layer_accuracy"]) == tiny_config.n_layers + 1
         assert rep["n"] == 5

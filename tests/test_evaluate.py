@@ -211,7 +211,7 @@ class TestGenerate:
                 assert_matches_oracle(tiny_ckpt, prompts, cfg, vocab)
 
     def test_batch_matches_single_after_early_eos(self, tiny_ckpt, vocab):
-        """Rows that end early are fed pads without changing the rows that go on."""
+        """Rows that end early leave without changing the rows that go on."""
         ckpt = tiny_ckpt.copy()
         # Swap the head columns of EOS and a token this model emits often, so
         # that some rows end early.
@@ -255,16 +255,22 @@ class TestDecodeBatches:
         monkeypatch.setattr(model, "forward", forward)
         return built, fed
 
-    def test_boundaries_change_nothing(self, tiny_ckpt, tiny_config, vocab, monkeypatch,
-                                       recorded):
-        monkeypatch.setattr(evaluate, "DECODE_ROWS", 4)
+    @pytest.fixture
+    def early_eos(self, tiny_ckpt, tiny_config, vocab):
+        """A checkpoint on which some rows end early, as in the early-EOS test above, and
+        prompts of five lengths."""
         ckpt = tiny_ckpt.copy()
-        head = ckpt.params["head"]  # some rows end early, as in the early-EOS test above
+        head = ckpt.params["head"]
         head[:, [vocab.eos, 41]] = head[:, [41, vocab.eos]]
         long = tiny_config.max_context - 4  # this group fills its context after 3 tokens
         prompts = ([[vocab.bos, k] for k in (4, 5, 6)]
                    + [[vocab.bos, k, 9] for k in (4, 5, 6, 7, 2, 8)]
                    + [[vocab.bos, 4, 9, 1, 3], [vocab.bos, 8, 8, 1, 3], [vocab.bos] + [4] * long])
+        return ckpt, prompts
+
+    def test_boundaries_change_nothing(self, vocab, monkeypatch, recorded, early_eos):
+        monkeypatch.setattr(evaluate, "DECODE_ROWS", 4)
+        ckpt, prompts = early_eos
         ids = [f"x-{k}" for k in range(len(prompts))]
         built, fed = recorded
         for mode in ("greedy", "sample"):
@@ -283,6 +289,21 @@ class TestDecodeBatches:
             assert lengths[-1] == 3 and max(lengths[-3:-1]) > 3, lengths
             early = [n for r, n in zip(batched, lengths) if r.generated[-1] == vocab.eos]
             assert early and min(early) < max(lengths), (mode, lengths)
+
+    def test_no_finished_row_is_fed(self, vocab, recorded, early_eos):
+        """Every pick but each row's last is fed once: after the prefills, whose rows are
+        the rows of the caches built, a decoding step holds no row that has ended."""
+        ckpt, prompts = early_eos
+        built, fed = recorded
+        for mode in ("greedy", "sample"):
+            cfg = evaluate.GenConfig(mode=mode, seed=11, max_new_tokens=16)
+            built.clear()
+            fed.clear()
+            results = evaluate.generate_batch(ckpt, prompts, [str(k) for k in range(len(prompts))],
+                                              cfg, vocab)
+            assert any(r.generated[-1] == vocab.eos for r in results), mode
+            steps = sum(map(sum, fed)) - sum(built)
+            assert steps == sum(len(r.generated) - 1 for r in results), mode
 
     def test_no_cache_exceeds_the_row_limit(self, tiny_ckpt, vocab, recorded):
         rng = np.random.default_rng(2)

@@ -312,6 +312,40 @@ class TestKVCache:
             with pytest.raises(model.ModelError):
                 model.backward(trace, np.ones_like(trace.logits))
 
+    def test_keep_matches_a_cache_without_the_dropped_rows(self, vocab):
+        """After `keep`, the kept rows step with the bits of a cache that only ever held
+        them, and a forward of the old row count is refused."""
+        cfg = model.ModelConfig(vocab_size=len(vocab), rng_seed=6)
+        ckpt = model.init(cfg)
+        rng = np.random.default_rng(8)
+        prompts = rng.integers(0, cfg.vocab_size, size=(5, 4))
+        full, part = model.KVCache(cfg, 5, 12), model.KVCache(cfg, 2, 12)
+        model.forward(ckpt, prompts, kv=[full])
+        model.forward(ckpt, prompts[[1, 3]], kv=[part])
+        held = np.arange(5)  # the prompt of each row of `full`
+        for mask in ([False, True, True, True, False], [True, False, True]):
+            assert full.keep(np.array(mask)) is full
+            with pytest.raises(model.ModelError):
+                model.forward(ckpt, [[1]] * len(held), kv=[full])
+            held = held[mask]
+            both = np.isin(held, [1, 3])
+            for t in (1, 3):  # a single token, and a chunk with a causal mask
+                feed = rng.integers(0, cfg.vocab_size, size=(len(held), t))
+                got = model.forward(ckpt, feed, kv=[full])
+                want = model.forward(ckpt, feed[both], kv=[part])
+                assert np.array_equal(got.logits[both], want.logits)
+                for g, w in zip(got.hidden_states, want.hidden_states, strict=True):
+                    assert np.array_equal(g[both], w)
+        assert full.rows == part.rows == 2 and full.filled == part.filled == 12
+
+    def test_keeping_every_row_copies_nothing(self, tiny_ckpt, tiny_config):
+        cache = model.KVCache(tiny_config, 3, 6)
+        model.forward(tiny_ckpt, [[1, 2], [3, 4], [5, 6]], kv=[cache])
+        buffers = cache.k + cache.v
+        assert cache.keep(np.ones(3, dtype=bool)) is cache
+        assert all(a is b for a, b in zip(cache.k + cache.v, buffers, strict=True))
+        assert cache.rows == 3 and cache.filled == 2
+
 
 class TestSideBySideCaches:
     """One forward over several caches gives each cache's rows the bits of a forward
