@@ -201,7 +201,7 @@ def _build(cfg: dict, n: int, mix: float, regime: str, seed: int):
 def _load_dataset(path: str) -> list:
     _require(path)
     try:
-        return corpus.load_jsonl(path, VOCAB)
+        return corpus.load_jsonl(path, VOCAB, LANGUAGES)
     except (UnicodeDecodeError, json.JSONDecodeError, KeyError) as exc:
         raise CliError(f"malformed dataset {path}: {exc}", EXIT_BAD_CONFIG)
     except corpus.CorpusError as exc:

@@ -13,14 +13,19 @@ import json
 import math
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import atomic_open
 
 # Segment labels carried per token alongside the token ids.
 PROMPT, COT, ANSWER, PAD_LABEL = 0, 1, 2, 3
 
-REGIMES = ("NATIVE", "PIVOTED", "PIVOT_ONLY")
+# The language of each segment (question, trace, answer) under each regime.
+REGIME_LANGS = {
+    "NATIVE": ("TARGET", "TARGET", "TARGET"),
+    "PIVOTED": ("TARGET", "PIVOT", "TARGET"),
+    "PIVOT_ONLY": ("PIVOT", "PIVOT", "PIVOT"),
+}
 SEGMENTS = ("QUESTION", "COT", "ANSWER")
 
 OPS = ("ADD", "SUB", "MUL")
@@ -32,7 +37,7 @@ DIGITS = tuple(str(d) for d in range(10))
 
 VALUE_LIMIT = 999
 # Generation keeps running values at most two digits so the task stays
-# learnable by a minutes-scale model; the validation bound above is looser.
+# learnable by a minutes-scale model; `value_cap` may go up to the limit above.
 DEFAULT_VALUE_CAP = 99
 OPERAND_MAX = 20
 DEFAULT_MAX_STEPS = 5
@@ -76,34 +81,19 @@ def _apply_op(value: int, op: str, operand: int) -> int:
 @dataclass
 class Problem:
     start: int
-    steps: list  # list of (op, operand)
-    intermediate_values: list  # values after steps[0..i], excluding the last
-    final_answer: int
-
-    def validate(self, max_steps: int = DEFAULT_MAX_STEPS) -> None:
-        if not 1 <= len(self.steps) <= max_steps:
-            raise CorpusError(f"step count {len(self.steps)} outside [1, {max_steps}]")
-        trajectory = []
-        v = self.start
-        for op, operand in self.steps:
-            if not 0 <= operand <= OPERAND_MAX:
-                raise CorpusError(f"operand {operand} outside [0, {OPERAND_MAX}]")
-            v = _apply_op(v, op, operand)
-            trajectory.append(v)
-        for x in trajectory:
-            if abs(x) > VALUE_LIMIT:
-                raise CorpusError(f"value {x} outside [-{VALUE_LIMIT}, {VALUE_LIMIT}]")
-        if trajectory[:-1] != self.intermediate_values or trajectory[-1] != self.final_answer:
-            raise CorpusError("recorded values disagree with the step list")
-
-    def trajectory(self) -> list:
-        return self.intermediate_values + [self.final_answer]
+    steps: list   # list of (op, operand)
+    values: list  # the value after each step; the last is the answer
 
 
 @dataclass(frozen=True)
 class Language:
     id: str  # "PIVOT" or "TARGET"
     lexicon: dict
+
+    def __post_init__(self):
+        for key in LEXICON_KEYS:
+            if key not in self.lexicon:
+                raise CorpusError(f"language {self.id} missing lexicon entry {key!r}")
 
     def words(self) -> set:
         out = set()
@@ -254,8 +244,7 @@ def gen_problem(rng_seed: int, max_steps: int = DEFAULT_MAX_STEPS,
     rng = random.Random(rng_seed)
     n_steps = rng.randint(1, max_steps)
     start = rng.randint(0, OPERAND_MAX)
-    steps = []
-    trajectory = []
+    steps, values = [], []
     v = start
     for _ in range(n_steps):
         while True:
@@ -266,18 +255,12 @@ def gen_problem(rng_seed: int, max_steps: int = DEFAULT_MAX_STEPS,
                 break
         steps.append((op, operand))
         v = nv
-        trajectory.append(v)
-    problem = Problem(start=start, steps=steps,
-                      intermediate_values=trajectory[:-1], final_answer=trajectory[-1])
-    problem.validate(max_steps)
-    return problem
+        values.append(v)
+    return Problem(start=start, steps=steps, values=values)
 
 
 def render(problem: Problem, segment: str, lang: Language) -> str:
     lex = lang.lexicon
-    for key in LEXICON_KEYS:
-        if key not in lex:
-            raise CorpusError(f"language {lang.id} missing lexicon entry {key!r}")
     if segment == "QUESTION":
         parts = [lex["q_start"], str(problem.start)]
         for op, operand in problem.steps:
@@ -286,13 +269,13 @@ def render(problem: Problem, segment: str, lang: Language) -> str:
     if segment == "COT":
         lines = []
         v = problem.start
-        for i, ((op, operand), nv) in enumerate(zip(problem.steps, problem.trajectory())):
+        for i, ((op, operand), nv) in enumerate(zip(problem.steps, problem.values)):
             lines.append(f"{lex['step_word']} {i + 1} : {v} {lang.op_word(op)} {operand} = {nv} ;")
             v = nv
-        lines.append(f"{lex['restate']} {problem.final_answer} ;")
+        lines.append(f"{lex['restate']} {problem.values[-1]} ;")
         return " ".join(lines)
     if segment == "ANSWER":
-        return f"{lex['answer_phrase']} {problem.final_answer}"
+        return f"{lex['answer_phrase']} {problem.values[-1]}"
     raise CorpusError(f"unknown segment {segment!r}")
 
 
@@ -303,11 +286,18 @@ class Sample:
     question_text: str
     cot_text: str
     answer_text: str
-    question_lang: str
-    cot_lang: str
-    answer_lang: str
-    tokens: list = field(default_factory=list)
-    mask: list = field(default_factory=list)
+    tokens: list
+    mask: list
+
+    @property
+    def langs(self) -> tuple:
+        """Language ids of the question, the trace and the answer."""
+        return REGIME_LANGS[self.regime]
+
+    @property
+    def prompt(self) -> list:
+        """The tokens labelled PROMPT: BOS and the question."""
+        return self.tokens[:self.mask.count(PROMPT)]
 
     def answer_value(self):
         m = _NUMBER_RE.search(self.answer_text)
@@ -323,26 +313,14 @@ def segment_labels(n_question: int, n_cot: int, n_answer: int) -> list:
     )
 
 
-def _regime_langs(regime: str) -> tuple:
-    if regime == "NATIVE":
-        return "TARGET", "TARGET", "TARGET"
-    if regime == "PIVOTED":
-        return "TARGET", "PIVOT", "TARGET"
-    if regime == "PIVOT_ONLY":
-        return "PIVOT", "PIVOT", "PIVOT"
-    raise CorpusError(f"unknown regime {regime!r}")
-
-
 def _assemble(sid: str, regime: str, q: str, c: str, a: str, vocab: Vocab) -> Sample:
-    """Tokens and segment labels of one sample; the regime sets its languages."""
-    q_lang, c_lang, a_lang = _regime_langs(regime)
+    """Tokens and segment labels of one sample."""
     q_ids, c_ids, a_ids = vocab.tokenize(q), vocab.tokenize(c), vocab.tokenize(a)
     if vocab.special_ids.intersection(q_ids + c_ids + a_ids):
         raise CorpusError(f"sample {sid}: special token inside a segment")
     return Sample(
         id=sid, regime=regime,
         question_text=q, cot_text=c, answer_text=a,
-        question_lang=q_lang, cot_lang=c_lang, answer_lang=a_lang,
         tokens=[vocab.bos] + q_ids + c_ids + [vocab.think_end] + a_ids + [vocab.eos],
         mask=segment_labels(len(q_ids), len(c_ids), len(a_ids)),
     )
@@ -351,7 +329,7 @@ def _assemble(sid: str, regime: str, q: str, c: str, a: str, vocab: Vocab) -> Sa
 def make_sample(problem: Problem, regime: str, sid: str, vocab: Vocab, languages) -> Sample:
     by_id = {lang.id: lang for lang in languages}
     texts = [render(problem, seg, by_id[lang])
-             for seg, lang in zip(SEGMENTS, _regime_langs(regime))]
+             for seg, lang in zip(SEGMENTS, REGIME_LANGS[regime])]
     return _assemble(sid, regime, *texts, vocab)
 
 
@@ -362,7 +340,7 @@ def check_settings(n_target: int = 1, mix_ratio: float = 0.0, regime: str = "PIV
         raise CorpusError("n_target must be positive")
     if not 0.0 <= mix_ratio <= 1.0:
         raise CorpusError("mix_ratio must lie in [0, 1]")
-    if regime not in REGIMES:
+    if regime not in REGIME_LANGS:
         raise CorpusError(f"unknown regime {regime!r}")
     if max_steps < 1:
         raise CorpusError("max_steps must be >= 1")
@@ -395,13 +373,15 @@ ROW_KEYS = ("id", "regime", "question", "cot", "answer", "question_lang", "cot_l
 def save_jsonl(samples, path: str) -> None:
     with atomic_open(path, encoding="utf-8") as fh:
         for s in samples:
-            row = (s.id, s.regime, s.question_text, s.cot_text, s.answer_text,
-                   s.question_lang, s.cot_lang, s.answer_lang)
+            row = (s.id, s.regime, s.question_text, s.cot_text, s.answer_text, *s.langs)
             fh.write(json.dumps(dict(zip(ROW_KEYS, row)), ensure_ascii=False) + "\n")
 
 
-def load_jsonl(path: str, vocab: Vocab) -> list:
-    """Samples of a JSONL file; rows that disagree with their regime are rejected."""
+def load_jsonl(path: str, vocab: Vocab, languages) -> list:
+    """Samples of a JSONL file. A row is rejected unless its stored languages are its
+    regime's and every lexical word of each segment is in that segment's language."""
+    lexical = {w for w, i in vocab.word_to_id.items() if vocab.is_lexical(i)}
+    foreign = {lang.id: lexical - lang.words() for lang in languages}
     samples = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -413,9 +393,13 @@ def load_jsonl(path: str, vocab: Vocab) -> list:
             sid, regime, q, c, a, *stored = row = [obj[k] for k in ROW_KEYS]
             if not all(isinstance(v, str) for v in row):
                 raise CorpusError(f"row {sid!r}: every field must be a string")
+            if tuple(stored) != REGIME_LANGS.get(regime):
+                raise CorpusError(f"sample {sid}: languages {tuple(stored)} do not match "
+                                  f"regime {regime!r}")
             s = _assemble(sid, regime, q, c, a, vocab)
-            if tuple(stored) != (s.question_lang, s.cot_lang, s.answer_lang):
-                raise CorpusError(f"sample {s.id}: languages {tuple(stored)} do not match "
-                                  f"regime {s.regime}")
+            for seg, text, lang in zip(SEGMENTS, (q, c, a), stored):
+                stray = foreign[lang].intersection(text.split())
+                if stray:
+                    raise CorpusError(f"sample {sid}: {seg} words {sorted(stray)} are not {lang}")
             samples.append(s)
     return samples

@@ -41,7 +41,6 @@ class GenConfig:
 
 @dataclass
 class GenerationResult:
-    prompt: list
     generated: list
     cot_segment: list      # generated tokens before the first separator
     answer_segment: list   # generated tokens after it (separator and EOS excluded)
@@ -74,7 +73,9 @@ def _select(logits: np.ndarray, cfg: GenConfig, rngs) -> np.ndarray:
     return order[np.arange(len(order)), pos]
 
 
-def _segment(prompt, generated, terminated_eos: bool, vocab: corpus.Vocab) -> GenerationResult:
+def _segment(generated, vocab: corpus.Vocab) -> GenerationResult:
+    """A decode split at its first separator; it ended at EOS if its last token is EOS."""
+    terminated_eos = generated[-1:] == [vocab.eos]
     if vocab.think_end in generated:
         sep = generated.index(vocab.think_end)
         cot = generated[:sep]
@@ -86,8 +87,8 @@ def _segment(prompt, generated, terminated_eos: bool, vocab: corpus.Vocab) -> Ge
         # EOS without a separator means the trace never terminated properly;
         # running out of budget is reported as LENGTH either way.
         terminated = "SEPARATOR_MISSING" if terminated_eos else "LENGTH"
-    return GenerationResult(prompt=list(prompt), generated=list(generated),
-                            cot_segment=cot, answer_segment=answer, terminated=terminated)
+    return GenerationResult(generated=list(generated), cot_segment=cot, answer_segment=answer,
+                            terminated=terminated)
 
 
 def generate_batch(ckpt: model.Checkpoint, prompts: list, ids: list, cfg: GenConfig,
@@ -132,7 +133,7 @@ def generate_batch(ckpt: model.Checkpoint, prompts: list, ids: list, cfg: GenCon
             if live:
                 logits = model.forward(ckpt, [[gens[i][-1]] for g, _ in live for i in g],
                                        kv=[c for _, c in live]).logits[:, -1]
-    return [_segment(p, g, g[-1] == vocab.eos, vocab) for p, g in zip(prompts, gens)]
+    return [_segment(g, vocab) for g in gens]
 
 
 def generate(ckpt: model.Checkpoint, prompt, cfg: GenConfig,
@@ -172,7 +173,7 @@ def conformance(cot_tokens, expected: corpus.Language, vocab: corpus.Vocab) -> f
 def score(ckpt: model.Checkpoint, testset, cfg: GenConfig, vocab: corpus.Vocab,
           languages, expected_cot_lang: corpus.Language | None = None):
     """Exact-match accuracy plus trace-language conformance to `expected_cot_lang`, or
-    by default to each sample's own `cot_lang`.
+    by default to each sample's own trace language.
 
     Returns (report dict, per-item record list). Gold answers come from the
     testset samples' answer segments.
@@ -180,19 +181,20 @@ def score(ckpt: model.Checkpoint, testset, cfg: GenConfig, vocab: corpus.Vocab,
     if not testset:
         raise EvalError("empty testset")
     by_id = {lang.id: lang for lang in languages}
-    prompts = [[vocab.bos] + vocab.tokenize(s.question_text) for s in testset]
-    results = generate_batch(ckpt, prompts, [s.id for s in testset], cfg, vocab)
+    results = generate_batch(ckpt, [s.prompt for s in testset], [s.id for s in testset], cfg,
+                             vocab)
     records = []
     for s, res in zip(testset, results):
+        _, cot_lang, answer_lang = s.langs
         gold = s.answer_value()
-        predicted = extract_answer(res, by_id[s.answer_lang], vocab)
+        predicted = extract_answer(res, by_id[answer_lang], vocab)
         records.append({
             "id": s.id,
             "gold": gold,
             "predicted": predicted,
             "correct": bool(predicted is not None and predicted == gold),
             "terminated": res.terminated,
-            "conformance": conformance(res.cot_segment, expected_cot_lang or by_id[s.cot_lang],
+            "conformance": conformance(res.cot_segment, expected_cot_lang or by_id[cot_lang],
                                        vocab),
             "regime": s.regime,
         })

@@ -6,14 +6,16 @@ a flat registry keyed by path strings ("emb", "pos", "L0.att_q", ...,
 "final_norm", "head") so checkpoints can be diffed tensor by tensor.
 LayerNorm parameters are stored as a (2, dim) tensor: row 0 gain, row 1 shift.
 
-A checkpoint file ("pivotlab-checkpoint-v2") is one JSON manifest line of `magic`,
-`config` and `step`, then the payload: every tensor of `param_paths(config)` in
-order, each `_param_shape(path, config)` in size, little-endian in `config.dtype`.
-The config decides the whole layout, so the file stores no other.
+A checkpoint file ("pivotlab-checkpoint-v3") is one JSON manifest line of `magic`,
+`config`, `step` and `sha256`, then the payload: every tensor of `param_paths(config)`
+in order, each `_param_shape(path, config)` in size, little-endian in `config.dtype`.
+The config decides the whole layout, so the file stores no other. `sha256` is the
+digest of the canonical config JSON, the step and the payload (`_digest`).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -29,7 +31,7 @@ LN_EPS = 1e-5
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 _GELU_A = 0.044715
 
-CHECKPOINT_MAGIC = "pivotlab-checkpoint-v2"
+CHECKPOINT_MAGIC = "pivotlab-checkpoint-v3"
 
 # The two threads of a split batch: they start on first use and then stay. Its
 # tasks never submit to it, so callers in several threads cannot deadlock it.
@@ -448,15 +450,23 @@ def _backward(trace: ForwardTrace, dl) -> dict:
     return grads
 
 
+def _digest(config: ModelConfig, step: int, payload: bytes) -> str:
+    """sha256 hex digest of the canonical JSON of the config and the step, then the payload."""
+    h = hashlib.sha256(json.dumps([asdict(config), step], sort_keys=True).encode("utf-8") + b"\n")
+    h.update(payload)
+    return h.hexdigest()
+
+
 def save(ckpt: Checkpoint, path: str) -> None:
     """Write the checkpoint file described in the module docstring."""
     ckpt.validate()
-    manifest = {"magic": CHECKPOINT_MAGIC, "config": asdict(ckpt.config), "step": ckpt.step}
     dt = np.dtype(ckpt.config.dtype).newbyteorder("<")
+    payload = b"".join(ckpt.params[p].astype(dt).tobytes() for p in param_paths(ckpt.config))
+    manifest = {"magic": CHECKPOINT_MAGIC, "config": asdict(ckpt.config), "step": ckpt.step,
+                "sha256": _digest(ckpt.config, ckpt.step, payload)}
     with atomic_open(path, "wb") as fh:
         fh.write(json.dumps(manifest, sort_keys=True).encode("utf-8") + b"\n")
-        for p in param_paths(ckpt.config):
-            fh.write(ckpt.params[p].astype(dt).tobytes())
+        fh.write(payload)
 
 
 def load(path: str) -> Checkpoint:
@@ -483,6 +493,8 @@ def load(path: str) -> Checkpoint:
         params = {p: a.astype(config.np_dtype()).reshape(shapes[p]) for p, a in zip(shapes, flat)}
         ckpt = Checkpoint(config=config, params=params, step=manifest["step"])
         ckpt.validate()
+        if manifest["sha256"] != _digest(config, ckpt.step, payload):
+            raise ModelError("sha256 does not match the config, step and payload")
     except (KeyError, TypeError, ModelError) as exc:
         raise CheckpointIOError(f"malformed checkpoint ({type(exc).__name__}): {exc}") from exc
     return ckpt

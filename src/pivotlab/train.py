@@ -47,6 +47,10 @@ class TrainConfig:
             raise TrainError("epochs must be >= 1")
         if len(self.betas) != 2 or not all(0.0 <= b < 1.0 for b in self.betas):
             raise TrainError("betas must be two values in [0, 1)")
+        if self.lr <= 0 or self.eps <= 0:
+            raise TrainError("lr and eps must be > 0")
+        if self.weight_decay < 0:
+            raise TrainError("weight_decay must be >= 0")
 
 
 @dataclass

@@ -66,6 +66,9 @@ MALFORMED_ROWS = {
     "separator_inside_cot": lambda row: {**row, "cot": row["cot"].replace(";", "</think>", 1)},
     "row_not_object": lambda row: list(row.values()),
     "question_not_string": lambda row: {**row, "question": 5},
+    "target_word_in_pivot_trace":
+        lambda row: {**row, "cot": row["cot"].replace("step", "pasi", 1)},
+    "native_row_with_pivot_trace": lambda row: {**row, "regime": "NATIVE", "cot_lang": "TARGET"},
 }
 
 
@@ -92,6 +95,7 @@ MALFORMED_MANIFESTS = {
     "step_not_int": lambda m: {**m, "step": "x"},
     "step_negative": lambda m: {**m, "step": -1},
     "v1_magic": lambda m: {**m, "magic": "pivotlab-checkpoint-v1"},
+    "v2_magic": lambda m: {**m, "magic": "pivotlab-checkpoint-v2"},
 }
 
 

@@ -52,7 +52,6 @@ def generate(ckpt: model.Checkpoint, prompt, cfg: evaluate.GenConfig, vocab: cor
     rng = np.random.default_rng(cfg.seed if rng_seed is None else rng_seed)
     seq = list(prompt)
     generated = []
-    hit_eos = False
     for _ in range(cfg.max_new_tokens):
         if len(seq) >= ckpt.config.max_context:
             break
@@ -61,9 +60,8 @@ def generate(ckpt: model.Checkpoint, prompt, cfg: evaluate.GenConfig, vocab: cor
         generated.append(tok)
         seq.append(tok)
         if tok == vocab.eos:
-            hit_eos = True
             break
-    return evaluate._segment(prompt, generated, hit_eos, vocab)
+    return evaluate._segment(generated, vocab)
 
 
 def _with_trace(ckpt: model.Checkpoint, tokens, vocab: corpus.Vocab,

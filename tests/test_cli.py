@@ -39,6 +39,10 @@ MALFORMED_CONFIGS = {
     "batch_size_zero": {"train": {"batch_size": 0}},  # 5
     "betas_string": {"train": {"betas": "x"}},  # 1
     "betas_one_value": {"train": {"betas": [0.9]}},  # 1
+    "lr_negative": {"train": {"lr": -1}},  # 0
+    "eps_zero": {"train": {"eps": 0.0}},  # 5, in training: AdamW divides 0 by 0
+    "eps_negative": {"train": {"eps": -1e-8}},  # 0
+    "weight_decay_negative": {"train": {"weight_decay": -5}},  # 0
     "epochs_string": {"train": {"epochs": "3"}},  # 0
     "epochs_bool": {"train": {"epochs": True}},  # 0
     "reproduce_epochs_zero": {"reproduce": {"epochs": 0}},  # 1

@@ -19,27 +19,16 @@ def brute_force_eval(start, steps):
 
 
 class TestProblem:
-    def test_identity_single_step(self):
-        p = corpus.Problem(start=7, steps=[("ADD", 0)], intermediate_values=[],
-                           final_answer=7)
-        p.validate()
-        assert p.final_answer == 7
-
-    def test_three_step_example(self):
+    def test_three_step_example(self, languages):
         steps = [("ADD", 4), ("MUL", 2), ("SUB", 5)]
         values = brute_force_eval(3, steps)
         assert values == [7, 14, 9]
-        p = corpus.Problem(start=3, steps=steps, intermediate_values=values[:-1],
-                           final_answer=values[-1])
-        p.validate()
-        assert p.intermediate_values == [7, 14]
-        assert p.final_answer == 9
-
-    def test_inconsistent_values_rejected(self):
-        p = corpus.Problem(start=3, steps=[("ADD", 4)], intermediate_values=[],
-                           final_answer=8)
-        with pytest.raises(corpus.CorpusError):
-            p.validate()
+        pivot, _ = languages
+        p = corpus.Problem(start=3, steps=steps, values=values)
+        assert corpus.render(p, "COT", pivot) == (
+            "step 1 : 3 add 4 = 7 ; step 2 : 7 times 2 = 14 ; step 3 : 14 minus 5 = 9 ; "
+            "so the result is 9 ;")
+        assert corpus.render(p, "ANSWER", pivot) == "the answer is 9"
 
 
 class TestGenProblem:
@@ -56,15 +45,15 @@ class TestGenProblem:
         # exhaustive scan: every intermediate of 10,000 draws stays in range
         for seed in range(10_000):
             p = corpus.gen_problem(seed)
-            assert all(abs(v) <= 999 for v in p.trajectory())
-            assert all(abs(v) <= corpus.DEFAULT_VALUE_CAP for v in p.trajectory())
+            assert 1 <= len(p.steps) == len(p.values) <= corpus.DEFAULT_MAX_STEPS
+            assert all(abs(v) <= 999 for v in p.values)
+            assert all(abs(v) <= corpus.DEFAULT_VALUE_CAP for v in p.values)
             assert all(0 <= operand <= 20 for _, operand in p.steps)
-            p.validate()
 
     def test_matches_brute_force(self):
         for seed in range(200):
             p = corpus.gen_problem(seed)
-            assert brute_force_eval(p.start, p.steps) == p.trajectory()
+            assert brute_force_eval(p.start, p.steps) == p.values
 
 
 class TestLanguages:
@@ -83,14 +72,12 @@ class TestLanguages:
 class TestRender:
     def test_answer_pivot(self, languages):
         pivot, _ = languages
-        p = corpus.Problem(start=3, steps=[("ADD", 4)], intermediate_values=[],
-                           final_answer=7)
+        p = corpus.Problem(start=3, steps=[("ADD", 4)], values=[7])
         assert corpus.render(p, "ANSWER", pivot) == "the answer is 7"
 
     def test_answer_target_shares_digits(self, languages):
         pivot, target = languages
-        p = corpus.Problem(start=3, steps=[("ADD", 4)], intermediate_values=[],
-                           final_answer=7)
+        p = corpus.Problem(start=3, steps=[("ADD", 4)], values=[7])
         a_pivot = corpus.render(p, "ANSWER", pivot)
         a_target = corpus.render(p, "ANSWER", target)
         assert a_pivot.split()[-1] == a_target.split()[-1] == "7"
@@ -116,10 +103,8 @@ class TestRender:
         assert len(seen) == len({v for v in seen.values()})
 
     def test_missing_lexicon_entry(self):
-        broken = corpus.Language(id="PIVOT", lexicon={"q_start": "go"})
-        p = corpus.gen_problem(1)
-        with pytest.raises(corpus.CorpusError):
-            corpus.render(p, "QUESTION", broken)
+        with pytest.raises(corpus.CorpusError, match="missing lexicon entry"):
+            corpus.Language(id="PIVOT", lexicon={"q_start": "go"})
 
 
 class TestTokenize:
@@ -176,9 +161,9 @@ class TestBuildDataset:
         samples = corpus.build_dataset(20, 0.5, "PIVOTED", 3, vocab, languages)
         for s in samples:
             if s.regime == "PIVOTED":
-                assert (s.question_lang, s.cot_lang, s.answer_lang) == ("TARGET", "PIVOT", "TARGET")
+                assert s.langs == ("TARGET", "PIVOT", "TARGET")
             else:
-                assert (s.question_lang, s.cot_lang, s.answer_lang) == ("PIVOT", "PIVOT", "PIVOT")
+                assert s.langs == ("PIVOT", "PIVOT", "PIVOT")
 
     def test_pivoted_cot_tokens_in_pivot_lexicon(self, vocab, languages):
         # lexicon-membership scan over the built dataset
@@ -213,19 +198,31 @@ class TestBuildDataset:
         corpus.save_jsonl(corpus.build_dataset(40, 1.0, "PIVOTED", 21, vocab, languages), str(a))
         corpus.save_jsonl(corpus.build_dataset(40, 1.0, "PIVOTED", 21, vocab, languages), str(b))
         assert a.read_bytes() == b.read_bytes()
-        loaded = corpus.load_jsonl(str(a), vocab)
+        loaded = corpus.load_jsonl(str(a), vocab, languages)
         original = corpus.build_dataset(40, 1.0, "PIVOTED", 21, vocab, languages)
         assert [s.tokens for s in loaded] == [s.tokens for s in original]
         assert [s.mask for s in loaded] == [s.mask for s in original]
 
-    @given(n=st.integers(1, 12), regime=st.sampled_from(corpus.REGIMES),
+    @given(n=st.integers(1, 12), regime=st.sampled_from(sorted(corpus.REGIME_LANGS)),
            mix=st.floats(0.0, 1.0), seed=st.integers(0, 2**64))
     def test_any_dataset_round_trips(self, tmp_path_factory, vocab, languages, n, regime, mix,
                                      seed):
         samples = corpus.build_dataset(n, mix, regime, seed, vocab, languages)
         path = tmp_path_factory.getbasetemp() / "round_trip.jsonl"
         corpus.save_jsonl(samples, str(path))
-        assert corpus.load_jsonl(str(path), vocab) == samples
+        assert corpus.load_jsonl(str(path), vocab, languages) == samples
+
+    @given(n=st.integers(1, 12), regime=st.sampled_from(sorted(corpus.REGIME_LANGS)),
+           mix=st.floats(0.0, 1.0), seed=st.integers(0, 2**64))
+    def test_prompt_and_languages_follow_the_text(self, vocab, languages, n, regime, mix, seed):
+        words = {lang.id: lang.words() for lang in languages}
+        every_word = set().union(*words.values())
+        for s in corpus.build_dataset(n, mix, regime, seed, vocab, languages):
+            assert s.prompt == [vocab.bos] + vocab.tokenize(s.question_text)
+            assert s.langs == corpus.REGIME_LANGS[s.regime]
+            for text, lang in zip((s.question_text, s.cot_text, s.answer_text), s.langs):
+                lexical = every_word.intersection(text.split())
+                assert lexical and lexical <= words[lang]
 
     def test_jsonl_schema(self, vocab, languages, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -235,6 +232,6 @@ class TestBuildDataset:
             assert set(obj) == {"id", "regime", "question", "cot", "answer",
                                 "question_lang", "cot_lang", "answer_lang"}
 
-    def test_malformed_row_rejected(self, malformed_dataset, vocab):
+    def test_malformed_row_rejected(self, malformed_dataset, vocab, languages):
         with pytest.raises(corpus.CorpusError):
-            corpus.load_jsonl(malformed_dataset, vocab)
+            corpus.load_jsonl(malformed_dataset, vocab, languages)

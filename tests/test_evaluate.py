@@ -127,23 +127,23 @@ class TestSelect:
 class TestSegmentation:
     def test_eos_after_separator(self, vocab):
         gen = [5, 6, vocab.think_end, 7, 8, vocab.eos]
-        res = evaluate._segment([1], gen, True, vocab)
+        res = evaluate._segment(gen, vocab)
         assert res.cot_segment == [5, 6]
         assert res.answer_segment == [7, 8]
         assert res.terminated == "EOS"
 
     def test_budget_exhausted_without_separator(self, vocab):
-        res = evaluate._segment([1], [5, 5, 5], False, vocab)
+        res = evaluate._segment([5, 5, 5], vocab)
         assert res.terminated == "LENGTH"
         assert res.cot_segment == [5, 5, 5]
         assert res.answer_segment == []
 
     def test_eos_without_separator(self, vocab):
-        res = evaluate._segment([1], [5, vocab.eos], True, vocab)
+        res = evaluate._segment([5, vocab.eos], vocab)
         assert res.terminated == "SEPARATOR_MISSING"
 
     def test_budget_exhausted_after_separator(self, vocab):
-        res = evaluate._segment([1], [5, vocab.think_end, 6], False, vocab)
+        res = evaluate._segment([5, vocab.think_end, 6], vocab)
         assert res.terminated == "LENGTH"
         assert res.answer_segment == [6]
 
@@ -188,8 +188,8 @@ class TestGenerate:
         limit = tiny_config.max_context
         prompts = [[vocab.bos, 3], [vocab.bos, 4], [vocab.bos] + [4] * (limit - 2)]
         results = evaluate.generate_batch(ckpt, prompts, ["a", "b", "c"], cfg, vocab)
-        for res in results:
-            assert len(res.prompt) + len(res.generated) <= limit
+        for prompt, res in zip(prompts, results):
+            assert len(prompt) + len(res.generated) <= limit
         # The longest prompt leaves room for exactly one token, and the cached
         # forward is never asked for a position past the context.
         assert len(results[2].generated) == 1
@@ -320,7 +320,7 @@ class TestDecodeBatches:
 class TestExtractAnswer:
     def result_from_text(self, vocab, text, terminated="EOS"):
         return evaluate.GenerationResult(
-            prompt=[], generated=[], cot_segment=[],
+            generated=[], cot_segment=[],
             answer_segment=vocab.tokenize(text), terminated=terminated)
 
     def test_well_formed(self, vocab, languages):
@@ -382,14 +382,8 @@ class TestScore:
         gold = {s.id: s for s in samples}
 
         def fake_batch(ckpt, prompts, ids, cfg, vocab_):
-            out = []
-            for item_id in ids:
-                s = gold[item_id]
-                sep = s.tokens.index(vocab_.think_end)
-                generated = s.tokens[sep - len(vocab_.tokenize(s.cot_text)):]
-                hit_eos = generated[-1] == vocab_.eos
-                out.append(evaluate._segment(s.tokens[:sep], generated, hit_eos, vocab_))
-            return out
+            return [evaluate._segment(gold[i].tokens[len(p):], vocab_)
+                    for p, i in zip(prompts, ids)]
 
         monkeypatch.setattr(evaluate, "generate_batch", fake_batch)
         pivot, _ = languages
