@@ -9,6 +9,7 @@ the artifacts themselves are timestamp-free so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -228,9 +229,22 @@ def _init(cfg: dict) -> model.Checkpoint:
                                         rng_seed=cfg["seed"]))
 
 
+def _keep_freed_pages() -> None:
+    """Keep freed heap pages mapped while training, or glibc hands each step's freed
+    activations back to the OS and faults them in again on the next step."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):  # no C library, or one without mallopt
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD; a default step's largest array is 12.6 MB
+
+
 def _train(cfg: dict, dataset, ckpt, epochs: int, ckpt_path: str, log_path: str,
            on_epoch=None):
     """Train `ckpt` in place; write the final checkpoint and the loss log."""
+    _keep_freed_pages()
     tcfg = train.TrainConfig(**{**cfg["train"], "epochs": epochs}, seed=cfg["seed"])
     ckpt, rows = train.train(dataset, ckpt, tcfg, VOCAB, on_epoch=on_epoch)
     _save(model.save, ckpt, ckpt_path, cfg)
@@ -354,20 +368,21 @@ def _run_seed(cfg: dict, out: str) -> dict:
     def at(name: str) -> str:
         return os.path.join(out, name)
 
-    datasets = {
-        "pivoted": _build(cfg, c["n_target"], c["mix_ratio"], "PIVOTED", seed),
-        "native": _build(cfg, c["n_target"], c["mix_ratio"], "NATIVE", seed),
-        "control": _build(cfg, c["n_target"], 0.0, "PIVOT_ONLY", seed + 1),
-    }
     target_test = _build(cfg, rcfg["n_test"], 0.0, "PIVOTED", seed + 2)
     pivot_test = _build(cfg, rcfg["n_test"], 0.0, "PIVOT_ONLY", seed + 3)
-    _save(corpus.save_jsonl, datasets["pivoted"], at("dataset_pivoted.jsonl"), cfg)
 
     init_ckpt = _init(cfg)
     models, logs = {}, {}
-    for name, data in datasets.items():
+    # Each training set is built just before its training and freed after it.
+    for name, mix, regime, data_seed in (("pivoted", c["mix_ratio"], "PIVOTED", seed),
+                                         ("native", c["mix_ratio"], "NATIVE", seed),
+                                         ("control", 0.0, "PIVOT_ONLY", seed + 1)):
+        data = _build(cfg, c["n_target"], mix, regime, data_seed)
+        if name == "pivoted":
+            _save(corpus.save_jsonl, data, at("dataset_pivoted.jsonl"), cfg)
         models[name], logs[name] = _train(cfg, data, init_ckpt.copy(), rcfg["epochs"],
                                           at(f"model_{name}.ckpt"), at(f"train_log_{name}.csv"))
+        del data
 
     # Accuracy on target- and pivot-language tests; the native model's traces are held to
     # the target language. Deterministic decoding by default: at this scale, sampling

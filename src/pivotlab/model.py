@@ -191,12 +191,20 @@ class KVCache:
 @dataclass
 class ForwardTrace:
     logits: np.ndarray          # (B, T, V)
-    hidden_states: list         # n_layers + 1 arrays of (B, T, d); [0] = embeddings
+    hidden: list                # this trace's own hidden states; a split batch keeps none
     tokens: np.ndarray          # (B, T)
     caches: list                # per-layer dicts of cached activations
     final_cache: dict
     checkpoint: Checkpoint      # the producer, whose parameters backward differentiates
     halves: list = field(default_factory=list)  # a split batch's two row-half traces
+
+    @property
+    def hidden_states(self) -> list:
+        """n_layers + 1 arrays of (B, T, d), [0] = embeddings; a split batch joins its
+        halves' on each read, so training, which never reads them, never joins them."""
+        if not self.halves:
+            return self.hidden
+        return [np.concatenate(hs) for hs in zip(*(h.hidden for h in self.halves))]
 
 
 # These kernels write into arrays they own, but run the floating-point operations of
@@ -295,8 +303,7 @@ def forward(ckpt: Checkpoint, tokens, kv: list | None = None) -> ForwardTrace:
 
     Without `kv` the trace keeps what `backward` needs, and B >= 2 rows run as
     two fixed row halves, [:ceil(B/2)] and [ceil(B/2):], on two threads; the
-    trace concatenates their logits and hidden states and keeps each half's
-    trace in `halves`.
+    trace concatenates their logits and keeps each half's trace in `halves`.
 
     With `kv`, a list of KVCache whose rows, in order, are the B rows, the call
     is one decoding step: each cache's rows are its positions filled..filled+T-1,
@@ -331,8 +338,7 @@ def forward(ckpt: Checkpoint, tokens, kv: list | None = None) -> ForwardTrace:
         wait(futures)  # a half that raises must not leave the other running past the call
         halves = [f.result() for f in futures]
         return ForwardTrace(
-            logits=np.concatenate([h.logits for h in halves]),
-            hidden_states=[np.concatenate(hs) for hs in zip(*(h.hidden_states for h in halves))],
+            logits=np.concatenate([h.logits for h in halves]), hidden=[],
             tokens=tok, caches=[], final_cache={}, checkpoint=ckpt, halves=halves)
     return _forward_rows(ckpt, tok, kv)
 
@@ -382,7 +388,7 @@ def _forward_rows(ckpt: Checkpoint, tok, kv) -> ForwardTrace:
         c.filled += t
     f, xhat_f, inv_f = _layernorm_forward(h, p["final_norm"])
     final_cache = {"f": f, "xhat_f": xhat_f, "inv_f": inv_f} if kv is None else {}
-    return ForwardTrace(logits=f @ p["head"], hidden_states=hidden, tokens=tok,
+    return ForwardTrace(logits=f @ p["head"], hidden=hidden, tokens=tok,
                         caches=caches, final_cache=final_cache, checkpoint=ckpt)
 
 

@@ -177,6 +177,17 @@ def make_batches(samples, batch_size: int):
     return [order[i : i + batch_size] for i in range(0, len(order), batch_size)]
 
 
+def _step(batch, ckpt: model.Checkpoint, cfg: TrainConfig, vocab: corpus.Vocab,
+          step_index: int, state: AdamWState) -> LossBreakdown:
+    """One AdamW step on `batch`. Its activations, loss gradient and parameter gradients
+    are locals, so they are freed on return, before the next step's forward."""
+    tokens, labels = pad_batch(batch, vocab)
+    trace = model.forward(ckpt, tokens)
+    breakdown, dlogits = masked_loss(trace, tokens, labels, cfg.alpha, cfg.beta, with_grad=True)
+    adamw_step(ckpt, model.backward(trace, dlogits), cfg, step_index, state)
+    return breakdown
+
+
 def train(dataset, ckpt: model.Checkpoint, cfg: TrainConfig, vocab: corpus.Vocab,
           on_epoch=None):
     """Run the full (epochs x batches) loop on `ckpt` in place; returns (ckpt, log rows).
@@ -201,14 +212,8 @@ def train(dataset, ckpt: model.Checkpoint, cfg: TrainConfig, vocab: corpus.Vocab
         order = list(range(len(batches)))
         random.Random(cfg.seed * 1_000_003 + epoch).shuffle(order)
         for bi in order:
-            batch = batches[bi]
-            tokens, labels = pad_batch(batch, vocab)
-            trace = model.forward(ckpt, tokens)
-            breakdown, dlogits = masked_loss(trace, tokens, labels, cfg.alpha, cfg.beta,
-                                             with_grad=True)
-            grads = model.backward(trace, dlogits)
             step += 1
-            adamw_step(ckpt, grads, cfg, step, state)
+            breakdown = _step(batches[bi], ckpt, cfg, vocab, step, state)
             rows.append({
                 "step": step, "epoch": epoch + 1,
                 "loss_cot": breakdown.loss_cot, "loss_answer": breakdown.loss_answer,

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -661,6 +662,55 @@ class TestThreadEnv:
             digests[threads] = [hashlib.sha256((out / name).read_bytes()).hexdigest()
                                 for name in ("final.ckpt", "train_log.csv")]
         assert digests[None] == digests["1"] == digests["2"], digests
+
+
+def _refuse_libc(name):
+    raise OSError("no C library")
+
+
+class TestKeepFreedPages:
+    """`cli._keep_freed_pages` sets two glibc allocator thresholds for the training job
+    only, does nothing where libc has no `mallopt`, and changes no output byte."""
+
+    def test_train_sets_the_thresholds_and_eval_does_not(self, workspace, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+        assert cli.main(["eval", "--config", workspace["cfg"], "--ckpt", workspace["ckpt"],
+                         "--testset", workspace["data"],
+                         "--out", str(workspace["tmp"] / "eval")]) == 0
+        assert calls == []
+        assert cli.main(["train", "--config", workspace["cfg"], "--data", workspace["data"],
+                         "--out", str(workspace["tmp"] / "again")]) == 0
+        assert calls == [(-1, 1 << 30), (-3, 32 << 20)]  # M_TRIM_THRESHOLD, M_MMAP_THRESHOLD
+
+    @pytest.mark.parametrize("cdll", [_refuse_libc, lambda name: object()],
+                             ids=["no_libc", "libc_without_mallopt"])
+    def test_nothing_to_set(self, monkeypatch, cdll):
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        assert cli._keep_freed_pages() is None
+
+    def test_train_bytes_do_not_depend_on_it(self, tmp_path, cfg_path):
+        # Each run in a fresh process, so the stubbed one trains under glibc's defaults.
+        data = tmp_path / "data"
+        assert cli.main(["gen-data", "--config", cfg_path, "--out", str(data)]) == 0
+        argv = ["train", "--config", cfg_path, "--data", str(data / "dataset.jsonl"), "--out"]
+        kept = _run_module(argv + [str(tmp_path / "kept")])
+        assert kept.returncode == 0, kept.stderr
+        stub = ("import sys; from pivotlab import cli; cli._keep_freed_pages = lambda: None; "
+                "sys.exit(cli.main(sys.argv[1:]))")
+        src = os.path.dirname(os.path.dirname(pivotlab.__file__))
+        stubbed = subprocess.run([sys.executable, "-c", stub, *argv, str(tmp_path / "stubbed")],
+                                 capture_output=True, text=True,
+                                 env={**os.environ, "PYTHONPATH": src})
+        assert stubbed.returncode == 0, stubbed.stderr
+        for name in ("final.ckpt", "train_log.csv"):
+            assert (tmp_path / "kept" / name).read_bytes() == \
+                (tmp_path / "stubbed" / name).read_bytes()
 
 
 class TestSharedSteps:

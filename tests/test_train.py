@@ -1,6 +1,7 @@
 import csv
 import math
 import statistics
+import weakref
 
 import numpy as np
 import pytest
@@ -216,6 +217,21 @@ class TestTrainLoop:
         last = calls[-1][2]
         for path in ckpt.params:
             assert np.array_equal(last[path], ckpt.params[path])
+
+    def test_each_forward_finds_the_last_steps_activations_freed(self, tiny_config, vocab,
+                                                                 languages, monkeypatch):
+        forward, last, freed = model.forward, [], []
+
+        def watched(ckpt, tokens, kv=None):
+            freed.append(all(ref() is None for ref in last))
+            trace = forward(ckpt, tokens, kv)
+            last[:] = [weakref.ref(t) for t in (trace, *trace.halves)]
+            return trace
+
+        monkeypatch.setattr(model, "forward", watched)
+        cfg = train.TrainConfig(epochs=2, batch_size=4, seed=1)
+        train.train(small_dataset(vocab, languages, n=12), model.init(tiny_config), cfg, vocab)
+        assert freed == [True] * 6
 
     def test_log_csv_round_trip(self, tmp_path):
         rows = [
