@@ -210,14 +210,15 @@ def _load_dataset(path: str) -> list:
 
 
 def _paired_items(cfg: dict, n: int, seed: int) -> list:
-    pivot, target = LANGUAGES
+    """(id, target prompt, pivot prompt): a NATIVE and a PIVOT_ONLY sample's, per problem."""
     c = cfg["corpus"]
     pairs = []
     for i in range(n):
         p = corpus.gen_problem(seed * 7_654_321 + i, c["max_steps"], c["value_cap"])
-        tq = [VOCAB.bos] + VOCAB.tokenize(corpus.render(p, "QUESTION", target))
-        pq = [VOCAB.bos] + VOCAB.tokenize(corpus.render(p, "QUESTION", pivot))
-        pairs.append((f"pair-{i:04d}", tq, pq))
+        sid = f"pair-{i:04d}"
+        tq, pq = (corpus.make_sample(p, regime, sid, VOCAB, LANGUAGES).prompt
+                  for regime in ("NATIVE", "PIVOT_ONLY"))
+        pairs.append((sid, tq, pq))
     return pairs
 
 

@@ -13,12 +13,16 @@ import json
 import math
 import random
 import re
+from array import array
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import atomic_open
 
-# Segment labels carried per token alongside the token ids.
+# Segment labels of the tokens of a sample (Sample.labels) and of padding.
 PROMPT, COT, ANSWER, PAD_LABEL = 0, 1, 2, 3
+_SEGMENT_LABELS = np.array([PROMPT, COT, ANSWER], dtype=np.uint8)
 
 # The language of each segment (question, trace, answer) under each regime.
 REGIME_LANGS = {
@@ -286,8 +290,9 @@ class Sample:
     question_text: str
     cot_text: str
     answer_text: str
-    tokens: list
-    mask: list
+    tokens: array      # ids of [BOS, question, cot, THINK_END, answer, EOS], one byte each
+    cot_start: int     # index of the first trace token, after BOS and the question
+    answer_start: int  # index of the first answer token, after THINK_END
 
     @property
     def langs(self) -> tuple:
@@ -297,32 +302,29 @@ class Sample:
     @property
     def prompt(self) -> list:
         """The tokens labelled PROMPT: BOS and the question."""
-        return self.tokens[:self.mask.count(PROMPT)]
+        return self.tokens[:self.cot_start].tolist()
+
+    @property
+    def labels(self) -> np.ndarray:
+        """Each token's segment label; THINK_END is the trace's last token, EOS the answer's."""
+        return np.repeat(_SEGMENT_LABELS, (self.cot_start, self.answer_start - self.cot_start,
+                                           len(self.tokens) - self.answer_start))
 
     def answer_value(self):
         m = _NUMBER_RE.search(self.answer_text)
         return int(m.group()) if m else None
 
 
-def segment_labels(n_question: int, n_cot: int, n_answer: int) -> list:
-    """Labels for [BOS, question, cot, THINK_END, answer, EOS]."""
-    return (
-        [PROMPT] * (1 + n_question)  # BOS counts as prompt
-        + [COT] * (n_cot + 1)        # separator terminates the trace
-        + [ANSWER] * (n_answer + 1)  # EOS is the last answer-segment target
-    )
-
-
 def _assemble(sid: str, regime: str, q: str, c: str, a: str, vocab: Vocab) -> Sample:
-    """Tokens and segment labels of one sample."""
+    """Tokens and segment boundaries of one sample."""
     q_ids, c_ids, a_ids = vocab.tokenize(q), vocab.tokenize(c), vocab.tokenize(a)
     if vocab.special_ids.intersection(q_ids + c_ids + a_ids):
         raise CorpusError(f"sample {sid}: special token inside a segment")
     return Sample(
         id=sid, regime=regime,
         question_text=q, cot_text=c, answer_text=a,
-        tokens=[vocab.bos] + q_ids + c_ids + [vocab.think_end] + a_ids + [vocab.eos],
-        mask=segment_labels(len(q_ids), len(c_ids), len(a_ids)),
+        tokens=array("B", [vocab.bos, *q_ids, *c_ids, vocab.think_end, *a_ids, vocab.eos]),
+        cot_start=1 + len(q_ids), answer_start=2 + len(q_ids) + len(c_ids),
     )
 
 

@@ -69,17 +69,15 @@ def pad_batch(samples, vocab: corpus.Vocab):
     labels = np.full((len(samples), t), PAD_LABEL, dtype=np.int64)
     for i, s in enumerate(samples):
         tokens[i, : len(s.tokens)] = s.tokens
-        labels[i, : len(s.mask)] = s.mask
+        labels[i, : len(s.tokens)] = s.labels
     return tokens, labels
 
 
-def masked_loss(trace: model.ForwardTrace, tokens, labels, alpha: float, beta: float,
-                with_grad: bool = False):
+def masked_loss(trace: model.ForwardTrace, tokens, labels, alpha: float, beta: float):
     """Split cross-entropy under the next-token convention.
 
     Position i predicts token i+1; a target position carries the label of the
-    token being predicted. Returns a LossBreakdown, plus d(loss)/d(logits)
-    when with_grad is set.
+    token being predicted. Returns (LossBreakdown, d(loss)/d(logits)).
     """
     logits = trace.logits
     tokens = np.asarray(tokens, dtype=np.int64)
@@ -115,9 +113,6 @@ def masked_loss(trace: model.ForwardTrace, tokens, labels, alpha: float, beta: f
         loss_total=alpha * loss_cot + beta * loss_answer,
         n_cot=n_cot, n_answer=n_ans,
     )
-    if not with_grad:
-        return breakdown
-
     probs = ez / sez
     weight = np.zeros((b, t - 1), dtype=logits.dtype)
     weight[cot_pos] = alpha / n_cot
@@ -183,7 +178,7 @@ def _step(batch, ckpt: model.Checkpoint, cfg: TrainConfig, vocab: corpus.Vocab,
     are locals, so they are freed on return, before the next step's forward."""
     tokens, labels = pad_batch(batch, vocab)
     trace = model.forward(ckpt, tokens)
-    breakdown, dlogits = masked_loss(trace, tokens, labels, cfg.alpha, cfg.beta, with_grad=True)
+    breakdown, dlogits = masked_loss(trace, tokens, labels, cfg.alpha, cfg.beta)
     adamw_step(ckpt, model.backward(trace, dlogits), cfg, step_index, state)
     return breakdown
 

@@ -9,6 +9,10 @@ batching; `candidate_set` and `_pick` choose its tokens one row at a time.
 intermediate in a fresh array. They run the same floating-point operations
 in the same order as `model.forward`/`model.backward`, including the split
 of a batch into two row halves, so the two must agree bit for bit.
+
+`segment_labels` spells out a sample's per-token segment labels from its
+three segment token counts, and `pad_batch` right-pads a batch with plain
+lists; `Sample.labels` and `train.pad_batch` must agree with them.
 """
 
 from __future__ import annotations
@@ -16,6 +20,30 @@ from __future__ import annotations
 import numpy as np
 
 from pivotlab import analysis, corpus, evaluate, model
+
+
+def segment_labels(n_question: int, n_cot: int, n_answer: int) -> list:
+    """Labels for [BOS, question, cot, THINK_END, answer, EOS]."""
+    return (
+        [corpus.PROMPT] * (1 + n_question)  # BOS counts as prompt
+        + [corpus.COT] * (n_cot + 1)        # separator terminates the trace
+        + [corpus.ANSWER] * (n_answer + 1)  # EOS is the last answer-segment target
+    )
+
+
+def sample_labels(s: corpus.Sample, vocab: corpus.Vocab) -> list:
+    """`segment_labels` from the token counts of the sample's three texts."""
+    return segment_labels(*(len(vocab.tokenize(text))
+                            for text in (s.question_text, s.cot_text, s.answer_text)))
+
+
+def pad_batch(samples, vocab: corpus.Vocab):
+    """Token and label rows right-padded to the longest sample, as (B, T) int64 arrays."""
+    t = max(len(s.tokens) for s in samples)
+    tokens = [list(s.tokens) + [vocab.pad] * (t - len(s.tokens)) for s in samples]
+    labels = [sample_labels(s, vocab) + [corpus.PAD_LABEL] * (t - len(s.tokens))
+              for s in samples]
+    return np.array(tokens, dtype=np.int64), np.array(labels, dtype=np.int64)
 
 
 def candidate_set(logits: np.ndarray, cfg: evaluate.GenConfig):

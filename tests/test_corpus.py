@@ -1,8 +1,10 @@
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from pivotlab import corpus
 
 VOCAB = corpus.build_vocab(corpus.default_languages())
@@ -180,11 +182,13 @@ class TestBuildDataset:
         for s in samples:
             assert s.tokens.count(vocab.think_end) == 1
             sep_idx = s.tokens.index(vocab.think_end)
-            assert s.mask[sep_idx] == corpus.COT
-            assert s.mask[sep_idx + 1] == corpus.ANSWER
+            labels = list(s.labels)
+            assert len(labels) == len(s.tokens)
+            assert labels[sep_idx] == corpus.COT
+            assert labels[sep_idx + 1] == corpus.ANSWER
             # labels are a non-decreasing PROMPT+ COT+ ANSWER+ run
-            assert sorted(s.mask) == s.mask
-            assert {corpus.PROMPT, corpus.COT, corpus.ANSWER} <= set(s.mask)
+            assert sorted(labels) == labels
+            assert {corpus.PROMPT, corpus.COT, corpus.ANSWER} <= set(labels)
 
     def test_answer_faithfulness(self, vocab, languages):
         samples = corpus.build_dataset(100, 1.0, "PIVOTED", 13, vocab, languages)
@@ -201,7 +205,7 @@ class TestBuildDataset:
         loaded = corpus.load_jsonl(str(a), vocab, languages)
         original = corpus.build_dataset(40, 1.0, "PIVOTED", 21, vocab, languages)
         assert [s.tokens for s in loaded] == [s.tokens for s in original]
-        assert [s.mask for s in loaded] == [s.mask for s in original]
+        assert [list(s.labels) for s in loaded] == [list(s.labels) for s in original]
 
     @given(n=st.integers(1, 12), regime=st.sampled_from(sorted(corpus.REGIME_LANGS)),
            mix=st.floats(0.0, 1.0), seed=st.integers(0, 2**64))
@@ -214,15 +218,37 @@ class TestBuildDataset:
 
     @given(n=st.integers(1, 12), regime=st.sampled_from(sorted(corpus.REGIME_LANGS)),
            mix=st.floats(0.0, 1.0), seed=st.integers(0, 2**64))
-    def test_prompt_and_languages_follow_the_text(self, vocab, languages, n, regime, mix, seed):
+    def test_prompt_and_languages_follow_the_text(self, tmp_path_factory, vocab, languages, n,
+                                                  regime, mix, seed):
         words = {lang.id: lang.words() for lang in languages}
         every_word = set().union(*words.values())
-        for s in corpus.build_dataset(n, mix, regime, seed, vocab, languages):
+        samples = corpus.build_dataset(n, mix, regime, seed, vocab, languages)
+        path = tmp_path_factory.getbasetemp() / "follow_the_text.jsonl"
+        corpus.save_jsonl(samples, str(path))
+        for s in samples + corpus.load_jsonl(str(path), vocab, languages):
             assert s.prompt == [vocab.bos] + vocab.tokenize(s.question_text)
+            assert list(s.labels) == oracles.sample_labels(s, vocab)
             assert s.langs == corpus.REGIME_LANGS[s.regime]
             for text, lang in zip((s.question_text, s.cot_text, s.answer_text), s.langs):
                 lexical = every_word.intersection(text.split())
                 assert lexical and lexical <= words[lang]
+
+    def test_samples_are_compact(self, vocab, languages, tmp_path):
+        """A sample holds its ids one byte each and no per-token label list: a 2,000-sample
+        set takes under 1,000 traced bytes per sample (about 1,750 with two int lists)."""
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            samples = corpus.build_dataset(1000, 1.0, "PIVOTED", 101, vocab, languages)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(samples) == 2000
+        assert held / len(samples) < 1000
+        path = tmp_path / "d.jsonl"
+        corpus.save_jsonl(samples, str(path))
+        assert all(s.tokens.itemsize == 1
+                   for s in samples + corpus.load_jsonl(str(path), vocab, languages))
 
     def test_jsonl_schema(self, vocab, languages, tmp_path):
         path = tmp_path / "d.jsonl"

@@ -382,7 +382,7 @@ class TestScore:
         gold = {s.id: s for s in samples}
 
         def fake_batch(ckpt, prompts, ids, cfg, vocab_):
-            return [evaluate._segment(gold[i].tokens[len(p):], vocab_)
+            return [evaluate._segment(list(gold[i].tokens[len(p):]), vocab_)
                     for p, i in zip(prompts, ids)]
 
         monkeypatch.setattr(evaluate, "generate_batch", fake_batch)

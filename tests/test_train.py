@@ -5,7 +5,9 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import oracles
 from pivotlab import corpus, model, train
 
 
@@ -26,14 +28,14 @@ class TestMaskedLoss:
     def test_matches_manual_cross_entropy(self, tiny_ckpt, vocab, languages):
         s = small_dataset(vocab, languages, n=1, max_steps=1)[0]
         trace = model.forward(tiny_ckpt, s.tokens)
-        bd = train.masked_loss(trace, s.tokens, s.mask, 1.0, 1.0)
+        bd = train.masked_loss(trace, s.tokens, s.labels, 1.0, 1.0)[0]
         logits = trace.logits[0]
         cot_terms, ans_terms = [], []
         for i in range(len(s.tokens) - 1):
             ce = manual_cross_entropy(np.asarray(logits[i], dtype=np.float64), s.tokens[i + 1])
-            if s.mask[i + 1] == corpus.COT:
+            if s.labels[i + 1] == corpus.COT:
                 cot_terms.append(ce)
-            elif s.mask[i + 1] == corpus.ANSWER:
+            elif s.labels[i + 1] == corpus.ANSWER:
                 ans_terms.append(ce)
         assert bd.loss_cot == pytest.approx(statistics.mean(cot_terms), rel=1e-9)
         assert bd.loss_answer == pytest.approx(statistics.mean(ans_terms), rel=1e-9)
@@ -43,7 +45,7 @@ class TestMaskedLoss:
     def test_alpha_beta_weighting(self, tiny_ckpt, vocab, languages):
         s = small_dataset(vocab, languages, n=1)[0]
         trace = model.forward(tiny_ckpt, s.tokens)
-        bd = train.masked_loss(trace, s.tokens, s.mask, 2.0, 0.5)
+        bd = train.masked_loss(trace, s.tokens, s.labels, 2.0, 0.5)[0]
         assert bd.loss_total == pytest.approx(2.0 * bd.loss_cot + 0.5 * bd.loss_answer)
 
     def test_uniform_logits_loss_is_log_vocab(self, tiny_config, vocab, languages):
@@ -52,32 +54,32 @@ class TestMaskedLoss:
         for path in ckpt.params:
             ckpt.params[path][:] = 0.0
         trace = model.forward(ckpt, s.tokens)
-        bd = train.masked_loss(trace, s.tokens, s.mask, 1.0, 1.0)
+        bd = train.masked_loss(trace, s.tokens, s.labels, 1.0, 1.0)[0]
         assert bd.loss_cot == pytest.approx(math.log(tiny_config.vocab_size), rel=1e-9)
         assert bd.loss_answer == pytest.approx(math.log(tiny_config.vocab_size), rel=1e-9)
 
     def test_gradient_matches_finite_difference(self, tiny_ckpt, vocab, languages):
         s = small_dataset(vocab, languages, n=1, max_steps=1)[0]
         trace = model.forward(tiny_ckpt, s.tokens)
-        _, dlogits = train.masked_loss(trace, s.tokens, s.mask, 1.3, 0.7, with_grad=True)
+        _, dlogits = train.masked_loss(trace, s.tokens, s.labels, 1.3, 0.7)
         eps = 1e-6
         rng = np.random.default_rng(0)
         flat = trace.logits.ravel()
         for idx in rng.choice(flat.size, size=40, replace=False):
             orig = flat[idx]
             flat[idx] = orig + eps
-            hi = train.masked_loss(trace, s.tokens, s.mask, 1.3, 0.7).loss_total
+            hi = train.masked_loss(trace, s.tokens, s.labels, 1.3, 0.7)[0].loss_total
             flat[idx] = orig - eps
-            lo = train.masked_loss(trace, s.tokens, s.mask, 1.3, 0.7).loss_total
+            lo = train.masked_loss(trace, s.tokens, s.labels, 1.3, 0.7)[0].loss_total
             flat[idx] = orig
             assert dlogits.ravel()[idx] == pytest.approx((hi - lo) / (2 * eps), abs=1e-7)
 
     def test_prompt_and_pad_positions_carry_zero_grad(self, tiny_ckpt, vocab, languages):
         s = small_dataset(vocab, languages, n=1)[0]
-        tokens = s.tokens + [vocab.pad] * 4
-        labels = s.mask + [corpus.PAD_LABEL] * 4
+        tokens = list(s.tokens) + [vocab.pad] * 4
+        labels = list(s.labels) + [corpus.PAD_LABEL] * 4
         trace = model.forward(tiny_ckpt, tokens)
-        _, dlogits = train.masked_loss(trace, tokens, labels, 1.0, 1.0, with_grad=True)
+        _, dlogits = train.masked_loss(trace, tokens, labels, 1.0, 1.0)
         labels_arr = np.asarray(labels)
         # position i holds grad for predicting token i+1
         inert = np.where((labels_arr[1:] == corpus.PROMPT) | (labels_arr[1:] == corpus.PAD_LABEL))[0]
@@ -90,6 +92,18 @@ class TestMaskedLoss:
         trace = model.forward(tiny_ckpt, tokens)
         with pytest.raises(train.TrainError):
             train.masked_loss(trace, tokens, labels, 1.0, 1.0)
+
+
+class TestPadBatch:
+    @given(n=st.integers(1, 12), regime=st.sampled_from(sorted(corpus.REGIME_LANGS)),
+           mix=st.floats(0.0, 1.0), seed=st.integers(0, 2**64), pick=st.randoms())
+    def test_matches_the_list_reference(self, vocab, languages, n, regime, mix, seed, pick):
+        dataset = corpus.build_dataset(n, mix, regime, seed, vocab, languages)
+        batch = pick.sample(dataset, pick.randint(1, len(dataset)))
+        tokens, labels = train.pad_batch(batch, vocab)
+        want_tokens, want_labels = oracles.pad_batch(batch, vocab)
+        assert tokens.dtype == labels.dtype == np.int64
+        assert np.array_equal(tokens, want_tokens) and np.array_equal(labels, want_labels)
 
 
 class TestAdamW:
@@ -248,7 +262,6 @@ class TestTrainLoop:
     def test_over_length_sample_rejected(self, tiny_config, vocab, languages):
         dataset = small_dataset(vocab, languages, n=2)
         dataset[0].tokens = dataset[0].tokens * 40
-        dataset[0].mask = dataset[0].mask * 40
         cfg = train.TrainConfig(epochs=1, batch_size=2)
         with pytest.raises(model.ContextLengthError):
             train.train(dataset, model.init(tiny_config), cfg, vocab)
