@@ -193,8 +193,8 @@ class ForwardTrace:
     logits: np.ndarray          # (B, T, V)
     hidden: list                # this trace's own hidden states; a split batch keeps none
     tokens: np.ndarray          # (B, T)
-    caches: list                # per-layer dicts of cached activations
-    final_cache: dict
+    caches: list                # per layer, the activations backward reads, less each norm's
+    final_cache: dict           # output, rebuilt from its xhat; backward consumes both
     checkpoint: Checkpoint      # the producer, whose parameters backward differentiates
     halves: list = field(default_factory=list)  # a split batch's two row-half traces
 
@@ -219,9 +219,14 @@ def _layernorm_forward(x, w):
     if not inv.all():  # an infinite variance would turn the row into the shift alone
         raise ModelError("layernorm variance overflows: the checkpoint's forward is not finite")
     xhat *= inv
-    np.multiply(xhat, w[0], out=y)
+    return _norm_out(xhat, w, y), xhat, inv
+
+
+def _norm_out(xhat, w, out=None):
+    """gain * xhat + shift: the layernorm's output, rebuilt by backward from its cached xhat."""
+    y = np.multiply(xhat, w[0], out=out)
     y += w[1]
-    return y, xhat, inv
+    return y
 
 
 def _layernorm_backward(dy, w, xhat, inv):
@@ -382,70 +387,78 @@ def _forward_rows(ckpt: Checkpoint, tok, kv) -> ForwardTrace:
         h += h_mid
         hidden.append(h)
         if kv is None:
-            caches.append(dict(a=a, xhat1=xhat1, inv1=inv1, q=q, k=k, v=v, att=att, ctx=ctx,
-                               m_in=m_in, xhat2=xhat2, inv2=inv2, g=g, gp=gp))
+            caches.append(dict(xhat1=xhat1, inv1=inv1, q=q, k=k, v=v, att=att, ctx=ctx,
+                               xhat2=xhat2, inv2=inv2, g=g, gp=gp))
     for c in kv or ():
         c.filled += t
     f, xhat_f, inv_f = _layernorm_forward(h, p["final_norm"])
-    final_cache = {"f": f, "xhat_f": xhat_f, "inv_f": inv_f} if kv is None else {}
+    final_cache = {"xhat_f": xhat_f, "inv_f": inv_f} if kv is None else {}
     return ForwardTrace(logits=f @ p["head"], hidden=hidden, tokens=tok,
                         caches=caches, final_cache=final_cache, checkpoint=ckpt)
 
 
 def backward(trace: ForwardTrace, dlogits) -> dict:
-    """Exact gradients of a scalar loss for `trace.checkpoint`, given d(loss)/d(logits)."""
+    """Exact gradients of a scalar loss for `trace.checkpoint`, given d(loss)/d(logits). It
+    consumes the trace's caches, freeing each activation at its last use: call it once."""
     dl = np.asarray(dlogits, dtype=trace.checkpoint.config.np_dtype())
     if dl.shape != trace.logits.shape:
         raise ModelError("dlogits shape mismatch with trace logits")
     if not trace.halves:
         return _backward(trace, dl)
     mid = trace.halves[0].tokens.shape[0]
-    g0, g1 = _POOL.map(_backward, trace.halves, (dl[:mid], dl[mid:]))
+    futures = [_POOL.submit(_backward, *a) for a in zip(trace.halves, (dl[:mid], dl[mid:]))]
+    wait(futures)  # as in forward: a half's error is raised only once the other has ended
+    g0, g1 = (f.result() for f in futures)
     return {path: g0[path] + g1[path] for path in g0}
 
 
 def _backward(trace: ForwardTrace, dl) -> dict:
     if not trace.caches:
-        raise ModelError("trace has no cached activations (a decoding step keeps none)")
+        raise ModelError("trace has no cached activations: a decoding step keeps none, "
+                         "and backward consumes them")
     cfg, p = trace.checkpoint.config, trace.checkpoint.params
     tok = trace.tokens
     b, t = tok.shape
     scale = cfg.head_dim ** -0.5
+    caches, trace.caches = trace.caches, []  # the trace is consumed, even if this call fails
+    fc, trace.final_cache = trace.final_cache, {}
 
-    fc = trace.final_cache
-    grads = {"head": _outer(fc["f"], dl)}
+    grads = {"head": _outer(_norm_out(fc["xhat_f"], p["final_norm"]), dl)}
     dh, grads["final_norm"] = _layernorm_backward(dl @ p["head"].T, p["final_norm"],
-                                                  fc["xhat_f"], fc["inv_f"])
+                                                  fc.pop("xhat_f"), fc.pop("inv_f"))
 
     for i in reversed(range(cfg.n_layers)):
         lp = f"L{i}."
-        c = trace.caches[i]
+        c = caches.pop()  # entries are popped at their last use; xhat1 and inv1 go with c
         # MLP branch
-        grads[lp + "mlp_down"] = _outer(c["g"], dh)
+        grads[lp + "mlp_down"] = _outer(c.pop("g"), dh)
         du = dh @ p[lp + "mlp_down"].T
-        du *= c["gp"]
-        grads[lp + "mlp_up"] = _outer(c["m_in"], du)
-        dx_ln, grads[lp + "norm2"] = _layernorm_backward(du @ p[lp + "mlp_up"].T, p[lp + "norm2"],
-                                                         c["xhat2"], c["inv2"])
+        du *= c.pop("gp")
+        grads[lp + "mlp_up"] = _outer(_norm_out(c["xhat2"], p[lp + "norm2"]), du)
+        du = du @ p[lp + "mlp_up"].T
+        dx_ln, grads[lp + "norm2"] = _layernorm_backward(du, p[lp + "norm2"],
+                                                         c.pop("xhat2"), c.pop("inv2"))
         dh += dx_ln
         # attention branch
-        grads[lp + "att_o"] = _outer(c["ctx"], dh)
+        grads[lp + "att_o"] = _outer(c.pop("ctx"), dh)
         dctx = _split_heads(dh @ p[lp + "att_o"].T, cfg.n_heads)
-        ds = dctx @ c["v"].transpose(0, 1, 3, 2)
+        ds = dctx @ c.pop("v").transpose(0, 1, 3, 2)
         dv = c["att"].transpose(0, 1, 3, 2) @ dctx
         ds -= (ds * c["att"]).sum(axis=-1, keepdims=True)
-        ds *= c["att"]
-        dq = ds @ c["k"]
+        ds *= c.pop("att")
+        dq = ds @ c.pop("k")
         dq *= scale
-        dk = ds.transpose(0, 1, 3, 2) @ c["q"]
+        dk = ds.transpose(0, 1, 3, 2) @ c.pop("q")
         dk *= scale
+        del ds
         mdq, mdk, mdv = _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
         da = mdq @ p[lp + "att_q"].T
         da += mdk @ p[lp + "att_k"].T
         da += mdv @ p[lp + "att_v"].T
-        grads[lp + "att_q"] = _outer(c["a"], mdq)
-        grads[lp + "att_k"] = _outer(c["a"], mdk)
-        grads[lp + "att_v"] = _outer(c["a"], mdv)
+        a = _norm_out(c["xhat1"], p[lp + "norm1"])
+        grads[lp + "att_q"] = _outer(a, mdq)
+        grads[lp + "att_k"] = _outer(a, mdk)
+        grads[lp + "att_v"] = _outer(a, mdv)
         dx_ln, grads[lp + "norm1"] = _layernorm_backward(da, p[lp + "norm1"], c["xhat1"], c["inv1"])
         dh += dx_ln
 

@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -400,6 +401,19 @@ class TestBackward:
             if tid not in used:
                 assert np.all(grads["emb"][tid] == 0)
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_backward_consumes_the_trace(self, tiny_ckpt, rows):
+        """After backward neither the trace nor a half holds a cache, and a second
+        backward is refused with the error a decoding step gets."""
+        trace = model.forward(tiny_ckpt, [[1, 2, 3, 4]] * rows)
+        assert len(trace.halves) == (2 if rows > 1 else 0)
+        dlogits = np.ones_like(trace.logits)
+        model.backward(trace, dlogits)
+        for t in (trace, *trace.halves):
+            assert t.caches == [] and t.final_cache == {}
+        with pytest.raises(model.ModelError, match="decoding step keeps none.*consumes them"):
+            model.backward(trace, dlogits)
+
     def test_suffix_padding_grads_vanish(self, tiny_ckpt):
         """Zero dlogits at pad positions => grads identical to the unpadded run."""
         tokens = [1, 2, 3, 4]
@@ -453,6 +467,23 @@ class TestBatchSplit:
         assert model.forward(tiny_ckpt, rows[:1]).halves == []
         cache = model.KVCache(tiny_ckpt.config, 5, 4)
         assert model.forward(tiny_ckpt, rows, kv=[cache]).halves == []
+
+    def test_both_halves_end_before_backward_raises(self, tiny_ckpt):
+        """As in forward, a half's error is raised only once the other half has ended."""
+        trace = model.forward(tiny_ckpt, [[1, 2, 3]] * 4)
+        ended = threading.Event()
+
+        def half(h, dl):
+            if h is trace.halves[0]:
+                raise model.ModelError("half 0 failed")
+            time.sleep(0.5)
+            ended.set()
+            return {}
+
+        with mock.patch.object(model, "_backward", half):
+            with pytest.raises(model.ModelError, match="half 0 failed"):
+                model.backward(trace, np.ones_like(trace.logits))
+            assert ended.is_set()
 
     def test_finite_difference_on_split_batch(self, tiny_config):
         ckpt = model.init(tiny_config)

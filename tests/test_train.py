@@ -1,6 +1,7 @@
 import csv
 import math
 import statistics
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -246,6 +247,24 @@ class TestTrainLoop:
         cfg = train.TrainConfig(epochs=2, batch_size=4, seed=1)
         train.train(small_dataset(vocab, languages, n=12), model.init(tiny_config), cfg, vocab)
         assert freed == [True] * 6
+
+    def test_split_step_peaks_under_70_mib(self, vocab):
+        """A default-shape float32 split step (forward, loss, backward) on 24 x 106 tokens
+        peaks at the forward's last layer: backward rebuilds the norm outputs and frees
+        each layer's activations before the layer below allocates its temporaries."""
+        ckpt = model.init(model.ModelConfig(vocab_size=len(vocab)))
+        tokens = np.random.default_rng(0).integers(0, len(vocab), size=(24, 106))
+        labels = np.repeat([[corpus.PROMPT] * 20 + [corpus.COT] * 70 + [corpus.ANSWER] * 16],
+                           24, axis=0)
+        tracemalloc.start()
+        try:
+            trace = model.forward(ckpt, tokens)
+            _, dlogits = train.masked_loss(trace, tokens, labels, 1.0, 1.0)
+            model.backward(trace, dlogits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 70 * 2**20, f"{peak / 2**20:.1f} MiB"
 
     def test_log_csv_round_trip(self, tmp_path):
         rows = [
