@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import corpus, evaluate, model
+from . import evaluate, model
 
 
 class AnalysisError(Exception):
@@ -27,13 +27,13 @@ def check_settings(n_retrieval_items: int, scope: str) -> None:
         raise AnalysisError("a retrieval probe needs at least one item")
 
 
-def retrieval_accuracy(target_items: list, pivot_items: list) -> dict:
+def retrieval_accuracy(target_items: list, pivot_items: list) -> float:
     """Accuracy@1 of cosine nearest-neighbour retrieval, target -> pivot, over two
     lists of (item id, vector).
 
-    Ties break toward the lexicographically lowest pivot id. Zero vectors (cosine
-    undefined) are recorded: a zero target is a miss, and a zero pivot is never a
-    neighbour, so a target with no nonzero candidate is a miss too.
+    Ties break toward the lexicographically lowest pivot id. A zero vector has no
+    cosine: a zero target is a miss, and a zero pivot is never a neighbour, so a
+    target with no nonzero candidate is a miss too.
     """
     t_ids = [iid for iid, _ in target_items]
     if set(t_ids) != {iid for iid, _ in pivot_items}:
@@ -42,28 +42,20 @@ def retrieval_accuracy(target_items: list, pivot_items: list) -> dict:
     p_mat = np.stack([vec for _, vec in pivots]).astype(np.float64)
     p_norm = np.linalg.norm(p_mat, axis=1)
     nonzero = p_norm != 0.0
-    zero_vector_items = [pid for (pid, _), ok in zip(pivots, nonzero) if not ok]
     candidates = [pid for (pid, _), ok in zip(pivots, nonzero) if ok]
     p_mat, p_norm = p_mat[nonzero], p_norm[nonzero]
     hits = 0
     for iid, vec in target_items:
         v = vec.astype(np.float64)
         nv = np.linalg.norm(v)
-        if nv == 0.0:
-            zero_vector_items.append(iid)
-        elif candidates:
+        if nv != 0.0 and candidates:
             sims = (p_mat @ v) / (p_norm * nv)
             # argmax keeps the first (lowest-id) maximum
             hits += candidates[int(np.argmax(sims))] == iid
-    return {
-        "accuracy": hits / len(t_ids),
-        "n": len(t_ids),
-        "zero_vector_items": sorted(set(zero_vector_items)),
-    }
+    return hits / len(t_ids)
 
 
-def embed(ckpt: model.Checkpoint, items: list, scope: str, vocab: corpus.Vocab,
-          max_new_tokens: int) -> list:
+def embed(ckpt: model.Checkpoint, items: list, scope: str, max_new_tokens: int) -> list:
     """Mean token hidden state of each (id, token sequence) item, at every hidden state:
     one list of (id, vector) per layer, the input embedding's first.
 
@@ -77,7 +69,7 @@ def embed(ckpt: model.Checkpoint, items: list, scope: str, vocab: corpus.Vocab,
     seqs = [list(t) for _, t in items]
     if scope == "QUESTION_PLUS_COT":
         cfg = evaluate.GenConfig(mode="greedy", max_new_tokens=max_new_tokens)
-        results = evaluate.generate_batch(ckpt, seqs, [iid for iid, _ in items], cfg, vocab)
+        results = evaluate.generate_batch(ckpt, seqs, [iid for iid, _ in items], cfg)
         seqs = [s + r.cot_segment for s, r in zip(seqs, results)]
     per_layer = [[] for _ in range(ckpt.config.n_layers + 1)]
     for (iid, _), seq in zip(items, seqs):
@@ -91,11 +83,11 @@ def embed(ckpt: model.Checkpoint, items: list, scope: str, vocab: corpus.Vocab,
 
 
 def retrieval_report(ckpt: model.Checkpoint, paired_items: list, scope: str,
-                     vocab: corpus.Vocab, max_new_tokens: int) -> dict:
+                     max_new_tokens: int) -> dict:
     """Per-layer retrieval accuracy for (id, target tokens, pivot tokens) pairs."""
     t_layers, p_layers = (embed(ckpt, [(item[0], item[side]) for item in paired_items], scope,
-                                vocab, max_new_tokens) for side in (1, 2))
-    per_layer = [retrieval_accuracy(t, p)["accuracy"] for t, p in zip(t_layers, p_layers)]
+                                max_new_tokens) for side in (1, 2))
+    per_layer = [retrieval_accuracy(t, p) for t, p in zip(t_layers, p_layers)]
     return {
         "scope": scope,
         "per_layer_accuracy": per_layer,

@@ -247,7 +247,7 @@ def _train(cfg: dict, dataset, ckpt, epochs: int, ckpt_path: str, log_path: str,
     """Train `ckpt` in place; write the final checkpoint and the loss log."""
     _keep_freed_pages()
     tcfg = train.TrainConfig(**{**cfg["train"], "epochs": epochs}, seed=cfg["seed"])
-    ckpt, rows = train.train(dataset, ckpt, tcfg, VOCAB, on_epoch=on_epoch)
+    ckpt, rows = train.train(dataset, ckpt, tcfg, on_epoch=on_epoch)
     _save(model.save, ckpt, ckpt_path, cfg)
     _save(train.write_log_csv, rows, log_path, cfg)
     return ckpt, rows
@@ -267,7 +267,7 @@ def _eval(cfg: dict, ckpt, testset, mode: str, cot_lang: str | None, records_pat
 
 def _retrieval(cfg: dict, ckpt, scope: str, path: str) -> dict:
     pairs = _paired_items(cfg, cfg["analysis"]["n_retrieval_items"], cfg["seed"])
-    report = analysis.retrieval_report(ckpt, pairs, scope, VOCAB, cfg["eval"]["max_new_tokens"])
+    report = analysis.retrieval_report(ckpt, pairs, scope, cfg["eval"]["max_new_tokens"])
     write_json(report, path, cfg)
     return report
 

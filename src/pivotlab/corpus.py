@@ -34,7 +34,10 @@ SEGMENTS = ("QUESTION", "COT", "ANSWER")
 
 OPS = ("ADD", "SUB", "MUL")
 
-PAD_WORD, BOS_WORD, THINK_END_WORD, EOS_WORD = "<pad>", "<bos>", "</think>", "<eos>"
+# Every vocabulary lists the special words first, so each one's id is its position and
+# an id is special exactly when it is at most EOS.
+SPECIAL_WORDS = ("<pad>", "<bos>", "</think>", "<eos>")
+PAD, BOS, THINK_END, EOS = range(len(SPECIAL_WORDS))
 SIGN_WORD = "-"
 PUNCT = (".", "?", ":", "=", ";")
 DIGITS = tuple(str(d) for d in range(10))
@@ -154,20 +157,14 @@ def default_languages() -> tuple:
 class Vocab:
     """Closed word-level vocabulary with digit-by-digit numerals."""
 
-    def __init__(self, word_to_id: dict, specials: dict):
+    def __init__(self, word_to_id: dict):
         self.word_to_id = dict(word_to_id)
-        self.specials = dict(specials)
         self.id_to_word = {i: w for w, i in self.word_to_id.items()}
         if len(self.id_to_word) != len(self.word_to_id):
             raise CorpusError("vocab is not bijective")
-        self.pad = specials["pad"]
-        self.bos = specials["bos"]
-        self.think_end = specials["think_end"]
-        self.eos = specials["eos"]
         self.sign = self.word_to_id[SIGN_WORD]
         self.digit_ids = {self.word_to_id[d] for d in DIGITS}
         self.punct_ids = {self.word_to_id[p] for p in PUNCT}
-        self.special_ids = {self.pad, self.bos, self.think_end, self.eos}
 
     def __len__(self) -> int:
         return len(self.word_to_id)
@@ -175,10 +172,10 @@ class Vocab:
     def is_lexical(self, token_id: int) -> bool:
         """True for ordinary words (not digits, sign, punctuation, specials)."""
         return not (
-            token_id in self.digit_ids
+            token_id <= EOS
+            or token_id in self.digit_ids
             or token_id == self.sign
             or token_id in self.punct_ids
-            or token_id in self.special_ids
         )
 
     def tokenize(self, text: str) -> list:
@@ -212,7 +209,7 @@ class Vocab:
     def to_json(self) -> dict:
         return {
             "words": {w: i for w, i in sorted(self.word_to_id.items(), key=lambda kv: kv[1])},
-            "specials": dict(self.specials),
+            "specials": {"pad": PAD, "bos": BOS, "think_end": THINK_END, "eos": EOS},
         }
 
     def save(self, path: str) -> None:
@@ -220,25 +217,14 @@ class Vocab:
             json.dump(self.to_json(), fh, ensure_ascii=False, indent=2, sort_keys=True)
             fh.write("\n")
 
-    @classmethod
-    def load(cls, path: str) -> "Vocab":
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-        return cls(obj["words"], obj["specials"])
-
 
 def build_vocab(languages) -> Vocab:
-    words = [PAD_WORD, BOS_WORD, THINK_END_WORD, EOS_WORD]
-    words += list(DIGITS)
-    words.append(SIGN_WORD)
-    words += list(PUNCT)
+    words = [*SPECIAL_WORDS, *DIGITS, SIGN_WORD, *PUNCT]
     lexical = set()
     for lang in languages:
         lexical |= lang.words()
     words += sorted(lexical)
-    word_to_id = {w: i for i, w in enumerate(words)}
-    specials = {"pad": 0, "bos": 1, "think_end": 2, "eos": 3}
-    return Vocab(word_to_id, specials)
+    return Vocab({w: i for i, w in enumerate(words)})
 
 
 def gen_problem(rng_seed: int, max_steps: int = DEFAULT_MAX_STEPS,
@@ -318,12 +304,12 @@ class Sample:
 def _assemble(sid: str, regime: str, q: str, c: str, a: str, vocab: Vocab) -> Sample:
     """Tokens and segment boundaries of one sample."""
     q_ids, c_ids, a_ids = vocab.tokenize(q), vocab.tokenize(c), vocab.tokenize(a)
-    if vocab.special_ids.intersection(q_ids + c_ids + a_ids):
+    if min(q_ids + c_ids + a_ids, default=EOS + 1) <= EOS:
         raise CorpusError(f"sample {sid}: special token inside a segment")
     return Sample(
         id=sid, regime=regime,
         question_text=q, cot_text=c, answer_text=a,
-        tokens=array("B", [vocab.bos, *q_ids, *c_ids, vocab.think_end, *a_ids, vocab.eos]),
+        tokens=array("B", [BOS, *q_ids, *c_ids, THINK_END, *a_ids, EOS]),
         cot_start=1 + len(q_ids), answer_start=2 + len(q_ids) + len(c_ids),
     )
 

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import corpus, model
+from .corpus import EOS, THINK_END
 
 
 # Rows decoded side by side. Each adds its KV cache to peak memory, and more gain no
@@ -41,10 +42,28 @@ class GenConfig:
 
 @dataclass
 class GenerationResult:
+    """A decode's generated tokens, and its segments and ending read off them."""
     generated: list
-    cot_segment: list      # generated tokens before the first separator
-    answer_segment: list   # generated tokens after it (separator and EOS excluded)
-    terminated: str        # "EOS", "SEPARATOR_MISSING", or "LENGTH"
+
+    @property
+    def cot_segment(self) -> list:
+        """The tokens before the first separator; with no separator, every token but EOS."""
+        g = self.generated
+        return g[:g.index(THINK_END)] if THINK_END in g else [t for t in g if t != EOS]
+
+    @property
+    def answer_segment(self) -> list:
+        """The tokens after the first separator, EOS left out; empty with no separator."""
+        g = self.generated
+        return [t for t in g[g.index(THINK_END) + 1:] if t != EOS] if THINK_END in g else []
+
+    @property
+    def terminated(self) -> str:
+        """How the decode ended: "EOS" at EOS after a separator, "SEPARATOR_MISSING" at EOS
+        with none (the trace never ended properly), "LENGTH" when the budget ran out."""
+        if self.generated[-1:] != [EOS]:
+            return "LENGTH"
+        return "EOS" if THINK_END in self.generated else "SEPARATOR_MISSING"
 
 
 def item_seed(base_seed: int, item_id: str) -> int:
@@ -58,7 +77,10 @@ def _select(logits: np.ndarray, cfg: GenConfig, rngs) -> np.ndarray:
     if cfg.mode == "greedy":
         return logits.argmax(axis=1)
     z = logits.astype(np.float64) / cfg.temperature
-    z -= z.max(axis=1, keepdims=True)
+    top = z.max(axis=1, keepdims=True)
+    if not np.isfinite(top).all():  # a -inf logit is a token of probability 0
+        raise EvalError(f"temperature {cfg.temperature!r} overflows the tempered logits")
+    z -= top
     p = np.exp(z)
     p /= p.sum(axis=1, keepdims=True)
     order = np.argsort(-p, axis=1, kind="stable")
@@ -73,26 +95,7 @@ def _select(logits: np.ndarray, cfg: GenConfig, rngs) -> np.ndarray:
     return order[np.arange(len(order)), pos]
 
 
-def _segment(generated, vocab: corpus.Vocab) -> GenerationResult:
-    """A decode split at its first separator; it ended at EOS if its last token is EOS."""
-    terminated_eos = generated[-1:] == [vocab.eos]
-    if vocab.think_end in generated:
-        sep = generated.index(vocab.think_end)
-        cot = generated[:sep]
-        answer = [t for t in generated[sep + 1 :] if t != vocab.eos]
-        terminated = "EOS" if terminated_eos else "LENGTH"
-    else:
-        cot = [t for t in generated if t != vocab.eos]
-        answer = []
-        # EOS without a separator means the trace never terminated properly;
-        # running out of budget is reported as LENGTH either way.
-        terminated = "SEPARATOR_MISSING" if terminated_eos else "LENGTH"
-    return GenerationResult(generated=list(generated), cot_segment=cot, answer_segment=answer,
-                            terminated=terminated)
-
-
-def generate_batch(ckpt: model.Checkpoint, prompts: list, ids: list, cfg: GenConfig,
-                   vocab: corpus.Vocab) -> list:
+def generate_batch(ckpt: model.Checkpoint, prompts: list, ids: list, cfg: GenConfig) -> list:
     """Decode many prompts with key/value caches, DECODE_ROWS rows side by side.
 
     The prompts, sorted by length, are cut into decode batches of at most
@@ -127,19 +130,18 @@ def generate_batch(ckpt: model.Checkpoint, prompts: list, ids: list, cfg: GenCon
                 gens[i].append(tok)
             # A row leaves its cache at EOS, and a cache with no rows or no room leaves the
             # batch, releasing its buffers before the next batch allocates its own.
-            stay = np.split(picks != vocab.eos, np.cumsum([len(g) for g, _ in live])[:-1])
+            stay = np.split(picks != EOS, np.cumsum([len(g) for g, _ in live])[:-1])
             live = [(g[k], c.keep(k)) for (g, c), k in zip(live, stay)
                     if k.any() and c.filled < c.capacity]
             if live:
                 logits = model.forward(ckpt, [[gens[i][-1]] for g, _ in live for i in g],
                                        kv=[c for _, c in live]).logits[:, -1]
-    return [_segment(g, vocab) for g in gens]
+    return [GenerationResult(g) for g in gens]
 
 
-def generate(ckpt: model.Checkpoint, prompt, cfg: GenConfig,
-             vocab: corpus.Vocab) -> GenerationResult:
+def generate(ckpt: model.Checkpoint, prompt, cfg: GenConfig) -> GenerationResult:
     """One prompt through `generate_batch`."""
-    return generate_batch(ckpt, [prompt], [""], cfg, vocab)[0]
+    return generate_batch(ckpt, [prompt], [""], cfg)[0]
 
 
 def extract_answer(result: GenerationResult, lang: corpus.Language, vocab: corpus.Vocab):
@@ -181,8 +183,7 @@ def score(ckpt: model.Checkpoint, testset, cfg: GenConfig, vocab: corpus.Vocab,
     if not testset:
         raise EvalError("empty testset")
     by_id = {lang.id: lang for lang in languages}
-    results = generate_batch(ckpt, [s.prompt for s in testset], [s.id for s in testset], cfg,
-                             vocab)
+    results = generate_batch(ckpt, [s.prompt for s in testset], [s.id for s in testset], cfg)
     records = []
     for s, res in zip(testset, results):
         _, cot_lang, answer_lang = s.langs

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import atomic_open, corpus, model
-from .corpus import COT, ANSWER, PAD_LABEL
+from . import atomic_open, model
+from .corpus import COT, ANSWER, PAD, PAD_LABEL
 
 
 class TrainError(Exception):
@@ -62,10 +62,10 @@ class LossBreakdown:
     n_answer: int
 
 
-def pad_batch(samples, vocab: corpus.Vocab):
+def pad_batch(samples):
     """Right-pad a list of samples to a (B, T) token array plus label array."""
     t = max(len(s.tokens) for s in samples)
-    tokens = np.full((len(samples), t), vocab.pad, dtype=np.int64)
+    tokens = np.full((len(samples), t), PAD, dtype=np.int64)
     labels = np.full((len(samples), t), PAD_LABEL, dtype=np.int64)
     for i, s in enumerate(samples):
         tokens[i, : len(s.tokens)] = s.tokens
@@ -172,19 +172,18 @@ def make_batches(samples, batch_size: int):
     return [order[i : i + batch_size] for i in range(0, len(order), batch_size)]
 
 
-def _step(batch, ckpt: model.Checkpoint, cfg: TrainConfig, vocab: corpus.Vocab,
-          step_index: int, state: AdamWState) -> LossBreakdown:
+def _step(batch, ckpt: model.Checkpoint, cfg: TrainConfig, step_index: int,
+          state: AdamWState) -> LossBreakdown:
     """One AdamW step on `batch`. Its activations, loss gradient and parameter gradients
     are locals, so they are freed on return, before the next step's forward."""
-    tokens, labels = pad_batch(batch, vocab)
+    tokens, labels = pad_batch(batch)
     trace = model.forward(ckpt, tokens)
     breakdown, dlogits = masked_loss(trace, tokens, labels, cfg.alpha, cfg.beta)
     adamw_step(ckpt, model.backward(trace, dlogits), cfg, step_index, state)
     return breakdown
 
 
-def train(dataset, ckpt: model.Checkpoint, cfg: TrainConfig, vocab: corpus.Vocab,
-          on_epoch=None):
+def train(dataset, ckpt: model.Checkpoint, cfg: TrainConfig, on_epoch=None):
     """Run the full (epochs x batches) loop on `ckpt` in place; returns (ckpt, log rows).
 
     Each log row: step, epoch, loss_cot, loss_answer, loss_total, ema_cot,
@@ -208,7 +207,7 @@ def train(dataset, ckpt: model.Checkpoint, cfg: TrainConfig, vocab: corpus.Vocab
         random.Random(cfg.seed * 1_000_003 + epoch).shuffle(order)
         for bi in order:
             step += 1
-            breakdown = _step(batches[bi], ckpt, cfg, vocab, step, state)
+            breakdown = _step(batches[bi], ckpt, cfg, step, state)
             rows.append({
                 "step": step, "epoch": epoch + 1,
                 "loss_cot": breakdown.loss_cot, "loss_answer": breakdown.loss_answer,

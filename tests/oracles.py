@@ -40,7 +40,7 @@ def sample_labels(s: corpus.Sample, vocab: corpus.Vocab) -> list:
 def pad_batch(samples, vocab: corpus.Vocab):
     """Token and label rows right-padded to the longest sample, as (B, T) int64 arrays."""
     t = max(len(s.tokens) for s in samples)
-    tokens = [list(s.tokens) + [vocab.pad] * (t - len(s.tokens)) for s in samples]
+    tokens = [list(s.tokens) + [corpus.PAD] * (t - len(s.tokens)) for s in samples]
     labels = [sample_labels(s, vocab) + [corpus.PAD_LABEL] * (t - len(s.tokens))
               for s in samples]
     return np.array(tokens, dtype=np.int64), np.array(labels, dtype=np.int64)
@@ -70,7 +70,7 @@ def _pick(logits: np.ndarray, cfg: evaluate.GenConfig, rng) -> int:
     return int(ids[np.searchsorted(np.cumsum(probs), u, side="right").clip(0, len(ids) - 1)])
 
 
-def generate(ckpt: model.Checkpoint, prompt, cfg: evaluate.GenConfig, vocab: corpus.Vocab,
+def generate(ckpt: model.Checkpoint, prompt, cfg: evaluate.GenConfig,
              rng_seed: int | None = None) -> evaluate.GenerationResult:
     """Autoregressive decode of a single prompt with its own RNG stream."""
     cfg.validate()
@@ -87,21 +87,20 @@ def generate(ckpt: model.Checkpoint, prompt, cfg: evaluate.GenConfig, vocab: cor
         tok = _pick(trace.logits[0, -1], cfg, rng)
         generated.append(tok)
         seq.append(tok)
-        if tok == vocab.eos:
+        if tok == corpus.EOS:
             break
-    return evaluate._segment(generated, vocab)
+    return evaluate.GenerationResult(generated)
 
 
-def _with_trace(ckpt: model.Checkpoint, tokens, vocab: corpus.Vocab,
-                max_new_tokens: int) -> list:
+def _with_trace(ckpt: model.Checkpoint, tokens, max_new_tokens: int) -> list:
     """Question tokens extended by the model's own greedy trace."""
     cfg = evaluate.GenConfig(mode="greedy", max_new_tokens=max_new_tokens)
-    res = generate(ckpt, tokens, cfg, vocab)
+    res = generate(ckpt, tokens, cfg)
     return list(tokens) + res.cot_segment
 
 
 def embed(ckpt: model.Checkpoint, items: list, layer: int, scope: str,
-          vocab: corpus.Vocab, max_new_tokens: int) -> list:
+          max_new_tokens: int) -> list:
     """(id, mean token hidden state at `layer`) for each (id, token sequence) item."""
     if scope not in analysis.SCOPES:
         raise analysis.AnalysisError(f"unknown scope {scope!r}")
@@ -113,7 +112,7 @@ def embed(ckpt: model.Checkpoint, items: list, layer: int, scope: str,
             raise analysis.AnalysisError(f"item {iid}: empty token sequence")
         seq = tokens
         if scope == "QUESTION_PLUS_COT":
-            seq = _with_trace(ckpt, tokens, vocab, max_new_tokens)
+            seq = _with_trace(ckpt, tokens, max_new_tokens)
         trace = model.forward(ckpt, seq)
         vectors.append((iid, trace.hidden_states[layer][0].mean(axis=0)))
     return vectors

@@ -79,7 +79,7 @@ class TestCriterion2LossAdditivity:
         rng = random.Random(11)
         for b in range(100):
             batch = [_sample(vocab, languages, rng.getrandbits(30)) for _ in range(3)]
-            tokens, labels = train.pad_batch(batch, vocab)
+            tokens, labels = train.pad_batch(batch)
             trace = model.forward(ckpt, tokens)
             bd = train.masked_loss(trace, tokens, labels, 1.0, 1.0)[0]
             worst = max(worst, abs(bd.loss_total - (bd.loss_cot + bd.loss_answer)))
@@ -107,7 +107,7 @@ class TestCriterion3MaskExclusivity:
             base = train.masked_loss(model.forward(ckpt, tokens), tokens, labels,
                                      1.0, 0.0)[0].loss_total
             ans_idx = [i for i, l in enumerate(labels)
-                       if l == corpus.ANSWER and tokens[i] not in (vocab.eos,)]
+                       if l == corpus.ANSWER and tokens[i] not in (corpus.EOS,)]
             shuffled = list(tokens)
             perm = list(ans_idx)
             rng.shuffle(perm)
@@ -122,7 +122,7 @@ class TestCriterion3MaskExclusivity:
             trace = model.forward(ckpt, tokens)
             base_a = train.masked_loss(trace, tokens, labels, 0.0, 1.0)[0].loss_total
             cot_idx = [i for i, l in enumerate(labels)
-                       if l == corpus.COT and tokens[i] != vocab.think_end]
+                       if l == corpus.COT and tokens[i] != corpus.THINK_END]
             shuffled_t = list(tokens)
             perm = list(cot_idx)
             rng.shuffle(perm)
@@ -186,7 +186,7 @@ class TestCriterion5MetricOracles:
             d = rng.randint(2, 8)
             t_items = [(f"i{k}", nrng.normal(size=d)) for k in range(n)]
             p_items = [(f"i{k}", nrng.normal(size=d)) for k in range(n)]
-            got = analysis.retrieval_accuracy(t_items, p_items)["accuracy"]
+            got = analysis.retrieval_accuracy(t_items, p_items)
             want = self.brute_retrieval([(i, list(v)) for i, v in t_items],
                                         [(i, list(v)) for i, v in p_items])
             if abs(got - want) > 1e-12:

@@ -459,6 +459,22 @@ class TestEvalCommand:
         assert rc == cli.EXIT_OVER_LENGTH
         assert _error_line(capsys)["exit_code"] == cli.EXIT_OVER_LENGTH
 
+    def test_overflowing_temperature(self, tmp_path, cfg_path):
+        """A temperature so small that the tempered logits overflow is bad data, not a
+        report of decodes that all picked id 0."""
+        cfg = tmp_path / "tiny_temperature.json"
+        cfg.write_text(json.dumps(_tiny_with({"eval": {"temperature": 1e-320}})))
+        data, out = tmp_path / "data", tmp_path / "e"
+        assert cli.main(["gen-data", "--config", cfg_path, "--out", str(data)]) == 0
+        proc = _run_module(["eval", "--config", str(cfg), "--out", str(out),
+                            "--ckpt", _save_init_ckpt(tmp_path / "init.ckpt"),
+                            "--testset", str(data / "dataset.jsonl")])
+        assert proc.returncode == cli.EXIT_BAD_DATA
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert json.loads(lines[0])["exit_code"] == cli.EXIT_BAD_DATA
+        assert not (out / "report.json").exists()
+
     def test_empty_testset(self, tmp_path, cfg_path, capsys):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 
@@ -134,12 +135,14 @@ class TestTokenize:
     def test_any_ids_round_trip(self, ids):
         assert VOCAB.tokenize(VOCAB.detokenize(ids)) == ids
 
-    def test_vocab_json_round_trip(self, vocab, tmp_path):
+    def test_vocab_layout(self, vocab, tmp_path):
+        """The special words take the first ids, and vocab.json keeps its pinned bytes."""
+        ids = [vocab.word_to_id[w] for w in ("<pad>", "<bos>", "</think>", "<eos>")]
+        assert ids == [corpus.PAD, corpus.BOS, corpus.THINK_END, corpus.EOS] == [0, 1, 2, 3]
         path = tmp_path / "vocab.json"
         vocab.save(str(path))
-        loaded = corpus.Vocab.load(str(path))
-        assert loaded.word_to_id == vocab.word_to_id
-        assert loaded.specials == vocab.specials
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "9c0d35cd2260479b372fdbb877cba316fa9ad48e5b51539793b43fb6c2b0c781"
 
 
 class TestBuildDataset:
@@ -180,8 +183,8 @@ class TestBuildDataset:
     def test_single_separator_and_mask_order(self, vocab, languages):
         samples = corpus.build_dataset(30, 1.0, "NATIVE", 5, vocab, languages)
         for s in samples:
-            assert s.tokens.count(vocab.think_end) == 1
-            sep_idx = s.tokens.index(vocab.think_end)
+            assert s.tokens.count(corpus.THINK_END) == 1
+            sep_idx = s.tokens.index(corpus.THINK_END)
             labels = list(s.labels)
             assert len(labels) == len(s.tokens)
             assert labels[sep_idx] == corpus.COT
@@ -226,7 +229,7 @@ class TestBuildDataset:
         path = tmp_path_factory.getbasetemp() / "follow_the_text.jsonl"
         corpus.save_jsonl(samples, str(path))
         for s in samples + corpus.load_jsonl(str(path), vocab, languages):
-            assert s.prompt == [vocab.bos] + vocab.tokenize(s.question_text)
+            assert s.prompt == [corpus.BOS] + vocab.tokenize(s.question_text)
             assert list(s.labels) == oracles.sample_labels(s, vocab)
             assert s.langs == corpus.REGIME_LANGS[s.regime]
             for text, lang in zip((s.question_text, s.cot_text, s.answer_text), s.langs):

@@ -125,35 +125,34 @@ class TestSelect:
 
 
 class TestSegmentation:
-    def test_eos_after_separator(self, vocab):
-        gen = [5, 6, vocab.think_end, 7, 8, vocab.eos]
-        res = evaluate._segment(gen, vocab)
+    def test_eos_after_separator(self):
+        res = evaluate.GenerationResult([5, 6, corpus.THINK_END, 7, 8, corpus.EOS])
         assert res.cot_segment == [5, 6]
         assert res.answer_segment == [7, 8]
         assert res.terminated == "EOS"
 
-    def test_budget_exhausted_without_separator(self, vocab):
-        res = evaluate._segment([5, 5, 5], vocab)
+    def test_budget_exhausted_without_separator(self):
+        res = evaluate.GenerationResult([5, 5, 5])
         assert res.terminated == "LENGTH"
         assert res.cot_segment == [5, 5, 5]
         assert res.answer_segment == []
 
-    def test_eos_without_separator(self, vocab):
-        res = evaluate._segment([5, vocab.eos], vocab)
+    def test_eos_without_separator(self):
+        res = evaluate.GenerationResult([5, corpus.EOS])
         assert res.terminated == "SEPARATOR_MISSING"
 
-    def test_budget_exhausted_after_separator(self, vocab):
-        res = evaluate._segment([5, vocab.think_end, 6], vocab)
+    def test_budget_exhausted_after_separator(self):
+        res = evaluate.GenerationResult([5, corpus.THINK_END, 6])
         assert res.terminated == "LENGTH"
         assert res.answer_segment == [6]
 
 
-def assert_matches_oracle(ckpt, prompts, cfg, vocab):
+def assert_matches_oracle(ckpt, prompts, cfg):
     """generate_batch agrees item by item with the uncached one-prompt oracle."""
     ids = [f"x-{k}" for k in range(len(prompts))]
-    batched = evaluate.generate_batch(ckpt, prompts, ids, cfg, vocab)
+    batched = evaluate.generate_batch(ckpt, prompts, ids, cfg)
     for prompt, item_id, got in zip(prompts, ids, batched):
-        solo = oracles.generate(ckpt, prompt, cfg, vocab,
+        solo = oracles.generate(ckpt, prompt, cfg,
                                 rng_seed=evaluate.item_seed(cfg.seed, item_id))
         assert got.generated == solo.generated
         assert got.terminated == solo.terminated
@@ -161,69 +160,69 @@ def assert_matches_oracle(ckpt, prompts, cfg, vocab):
 
 
 class TestGenerate:
-    def test_deterministic_per_seed(self, tiny_ckpt, vocab):
+    def test_deterministic_per_seed(self, tiny_ckpt):
         cfg = evaluate.GenConfig(mode="sample", seed=7, max_new_tokens=12)
-        prompts = [[vocab.bos, 5, 6], [vocab.bos, 2, 6], [vocab.bos, 9]]
-        a = evaluate.generate_batch(tiny_ckpt, prompts, ["a", "b", "c"], cfg, vocab)
-        b = evaluate.generate_batch(tiny_ckpt, prompts, ["a", "b", "c"], cfg, vocab)
+        prompts = [[corpus.BOS, 5, 6], [corpus.BOS, 2, 6], [corpus.BOS, 9]]
+        a = evaluate.generate_batch(tiny_ckpt, prompts, ["a", "b", "c"], cfg)
+        b = evaluate.generate_batch(tiny_ckpt, prompts, ["a", "b", "c"], cfg)
         assert [r.generated for r in a] == [r.generated for r in b]
 
-    def test_greedy_ignores_seed(self, tiny_ckpt, vocab):
+    def test_greedy_ignores_seed(self, tiny_ckpt):
         cfg1 = evaluate.GenConfig(mode="greedy", seed=1, max_new_tokens=10)
         cfg2 = evaluate.GenConfig(mode="greedy", seed=2, max_new_tokens=10)
-        prompts = [[vocab.bos, 5], [vocab.bos, 7], [vocab.bos, 5, 7]]
-        a = evaluate.generate_batch(tiny_ckpt, prompts, ["a", "b", "c"], cfg1, vocab)
-        b = evaluate.generate_batch(tiny_ckpt, prompts, ["a", "b", "c"], cfg2, vocab)
+        prompts = [[corpus.BOS, 5], [corpus.BOS, 7], [corpus.BOS, 5, 7]]
+        a = evaluate.generate_batch(tiny_ckpt, prompts, ["a", "b", "c"], cfg1)
+        b = evaluate.generate_batch(tiny_ckpt, prompts, ["a", "b", "c"], cfg2)
         assert [r.generated for r in a] == [r.generated for r in b]
 
-    def test_respects_token_budget(self, tiny_ckpt, vocab):
+    def test_respects_token_budget(self, tiny_ckpt):
         cfg = evaluate.GenConfig(mode="greedy", max_new_tokens=5)
-        prompts = [[vocab.bos, 3], [vocab.bos, 4], [vocab.bos, 4, 4]]
-        for res in evaluate.generate_batch(tiny_ckpt, prompts, ["a", "b", "c"], cfg, vocab):
+        prompts = [[corpus.BOS, 3], [corpus.BOS, 4], [corpus.BOS, 4, 4]]
+        for res in evaluate.generate_batch(tiny_ckpt, prompts, ["a", "b", "c"], cfg):
             assert len(res.generated) <= 5
 
-    def test_stops_at_context_limit(self, tiny_config, vocab):
+    def test_stops_at_context_limit(self, tiny_config):
         ckpt = model.init(tiny_config)
         cfg = evaluate.GenConfig(mode="greedy", max_new_tokens=10_000)
         limit = tiny_config.max_context
-        prompts = [[vocab.bos, 3], [vocab.bos, 4], [vocab.bos] + [4] * (limit - 2)]
-        results = evaluate.generate_batch(ckpt, prompts, ["a", "b", "c"], cfg, vocab)
+        prompts = [[corpus.BOS, 3], [corpus.BOS, 4], [corpus.BOS] + [4] * (limit - 2)]
+        results = evaluate.generate_batch(ckpt, prompts, ["a", "b", "c"], cfg)
         for prompt, res in zip(prompts, results):
             assert len(prompt) + len(res.generated) <= limit
         # The longest prompt leaves room for exactly one token, and the cached
         # forward is never asked for a position past the context.
         assert len(results[2].generated) == 1
 
-    def test_prompt_too_long_rejected(self, tiny_config, vocab):
+    def test_prompt_too_long_rejected(self, tiny_config):
         ckpt = model.init(tiny_config)
         cfg = evaluate.GenConfig(mode="greedy")
         with pytest.raises(model.ContextLengthError):
-            evaluate.generate_batch(ckpt, [[3] * tiny_config.max_context], ["a"], cfg, vocab)
+            evaluate.generate_batch(ckpt, [[3] * tiny_config.max_context], ["a"], cfg)
 
-    def test_batch_matches_single(self, tiny_ckpt, vocab):
+    def test_batch_matches_single(self, tiny_ckpt):
         """Batched cached decode is item-for-item identical to the uncached oracle."""
-        equal = [[vocab.bos, 4, 9], [vocab.bos, 5, 9], [vocab.bos, 6, 9], [vocab.bos, 7, 2]]
-        mixed = [[vocab.bos, 4, 9], [vocab.bos, 2], [vocab.bos, 4, 9, 1, 3],
-                 [vocab.bos, 6], [vocab.bos, 6, 9], [vocab.bos, 8, 8, 1, 3]]
+        equal = [[corpus.BOS, 4, 9], [corpus.BOS, 5, 9], [corpus.BOS, 6, 9], [corpus.BOS, 7, 2]]
+        mixed = [[corpus.BOS, 4, 9], [corpus.BOS, 2], [corpus.BOS, 4, 9, 1, 3],
+                 [corpus.BOS, 6], [corpus.BOS, 6, 9], [corpus.BOS, 8, 8, 1, 3]]
         for mode in ("greedy", "sample"):
             cfg = evaluate.GenConfig(mode=mode, seed=11, max_new_tokens=16)
             for prompts in (equal, mixed):
-                assert_matches_oracle(tiny_ckpt, prompts, cfg, vocab)
+                assert_matches_oracle(tiny_ckpt, prompts, cfg)
 
-    def test_batch_matches_single_after_early_eos(self, tiny_ckpt, vocab):
+    def test_batch_matches_single_after_early_eos(self, tiny_ckpt):
         """Rows that end early leave without changing the rows that go on."""
         ckpt = tiny_ckpt.copy()
         # Swap the head columns of EOS and a token this model emits often, so
         # that some rows end early.
         head = ckpt.params["head"]
-        head[:, [vocab.eos, 41]] = head[:, [41, vocab.eos]]
-        prompts = [[vocab.bos, 4, 9], [vocab.bos, 5, 9], [vocab.bos, 6, 9], [vocab.bos, 7, 2],
-                   [vocab.bos, 2, 2], [vocab.bos, 8, 1]]
+        head[:, [corpus.EOS, 41]] = head[:, [41, corpus.EOS]]
+        prompts = [[corpus.BOS, 4, 9], [corpus.BOS, 5, 9], [corpus.BOS, 6, 9],
+                   [corpus.BOS, 7, 2], [corpus.BOS, 2, 2], [corpus.BOS, 8, 1]]
         for mode in ("greedy", "sample"):
             cfg = evaluate.GenConfig(mode=mode, seed=11, max_new_tokens=16)
-            results = assert_matches_oracle(ckpt, prompts, cfg, vocab)
+            results = assert_matches_oracle(ckpt, prompts, cfg)
             lengths = [len(r.generated) for r in results]
-            early = [n for r, n in zip(results, lengths) if r.generated[-1] == vocab.eos]
+            early = [n for r, n in zip(results, lengths) if r.generated[-1] == corpus.EOS]
             assert early and min(early) < max(lengths), (mode, lengths)
 
     def test_item_seed_stable(self):
@@ -256,19 +255,20 @@ class TestDecodeBatches:
         return built, fed
 
     @pytest.fixture
-    def early_eos(self, tiny_ckpt, tiny_config, vocab):
+    def early_eos(self, tiny_ckpt, tiny_config):
         """A checkpoint on which some rows end early, as in the early-EOS test above, and
         prompts of five lengths."""
         ckpt = tiny_ckpt.copy()
         head = ckpt.params["head"]
-        head[:, [vocab.eos, 41]] = head[:, [41, vocab.eos]]
+        head[:, [corpus.EOS, 41]] = head[:, [41, corpus.EOS]]
         long = tiny_config.max_context - 4  # this group fills its context after 3 tokens
-        prompts = ([[vocab.bos, k] for k in (4, 5, 6)]
-                   + [[vocab.bos, k, 9] for k in (4, 5, 6, 7, 2, 8)]
-                   + [[vocab.bos, 4, 9, 1, 3], [vocab.bos, 8, 8, 1, 3], [vocab.bos] + [4] * long])
+        prompts = ([[corpus.BOS, k] for k in (4, 5, 6)]
+                   + [[corpus.BOS, k, 9] for k in (4, 5, 6, 7, 2, 8)]
+                   + [[corpus.BOS, 4, 9, 1, 3], [corpus.BOS, 8, 8, 1, 3],
+                      [corpus.BOS] + [4] * long])
         return ckpt, prompts
 
-    def test_boundaries_change_nothing(self, vocab, monkeypatch, recorded, early_eos):
+    def test_boundaries_change_nothing(self, monkeypatch, recorded, early_eos):
         monkeypatch.setattr(evaluate, "DECODE_ROWS", 4)
         ckpt, prompts = early_eos
         ids = [f"x-{k}" for k in range(len(prompts))]
@@ -276,21 +276,21 @@ class TestDecodeBatches:
         for mode in ("greedy", "sample"):
             cfg = evaluate.GenConfig(mode=mode, seed=11, max_new_tokens=16)
             built.clear()
-            batched = assert_matches_oracle(ckpt, prompts, cfg, vocab)
+            batched = assert_matches_oracle(ckpt, prompts, cfg)
             # batches [2, 2, 2, 3 | 3, 3, 3, 3 | 3, 5, 5, long]: the length-3 group straddles
             # all three, and the last batch's long group leaves while the other two go on
             assert built == [3, 1, 4, 1, 2, 1]
             assert max(map(len, fed)) == 3 and max(map(sum, fed)) == 4
             for k, (prompt, item_id) in enumerate(zip(prompts, ids)):
-                alone = evaluate.generate_batch(ckpt, [prompt], [item_id], cfg, vocab)[0]
+                alone = evaluate.generate_batch(ckpt, [prompt], [item_id], cfg)[0]
                 assert alone.generated == batched[k].generated
                 assert alone.terminated == batched[k].terminated
             lengths = [len(r.generated) for r in batched]
             assert lengths[-1] == 3 and max(lengths[-3:-1]) > 3, lengths
-            early = [n for r, n in zip(batched, lengths) if r.generated[-1] == vocab.eos]
+            early = [n for r, n in zip(batched, lengths) if r.generated[-1] == corpus.EOS]
             assert early and min(early) < max(lengths), (mode, lengths)
 
-    def test_no_finished_row_is_fed(self, vocab, recorded, early_eos):
+    def test_no_finished_row_is_fed(self, recorded, early_eos):
         """Every pick but each row's last is fed once: after the prefills, whose rows are
         the rows of the caches built, a decoding step holds no row that has ended."""
         ckpt, prompts = early_eos
@@ -300,17 +300,17 @@ class TestDecodeBatches:
             built.clear()
             fed.clear()
             results = evaluate.generate_batch(ckpt, prompts, [str(k) for k in range(len(prompts))],
-                                              cfg, vocab)
-            assert any(r.generated[-1] == vocab.eos for r in results), mode
+                                              cfg)
+            assert any(r.generated[-1] == corpus.EOS for r in results), mode
             steps = sum(map(sum, fed)) - sum(built)
             assert steps == sum(len(r.generated) - 1 for r in results), mode
 
-    def test_no_cache_exceeds_the_row_limit(self, tiny_ckpt, vocab, recorded):
+    def test_no_cache_exceeds_the_row_limit(self, tiny_ckpt, recorded):
         rng = np.random.default_rng(2)
-        prompts = [[vocab.bos] + rng.integers(4, 20, size=n).tolist()
+        prompts = [[corpus.BOS] + rng.integers(4, 20, size=n).tolist()
                    for n in rng.integers(1, 4, size=110)]
         cfg = evaluate.GenConfig(mode="greedy", max_new_tokens=3)
-        evaluate.generate_batch(tiny_ckpt, prompts, [str(k) for k in range(110)], cfg, vocab)
+        evaluate.generate_batch(tiny_ckpt, prompts, [str(k) for k in range(110)], cfg)
         built, fed = recorded
         assert sum(built) == 110
         assert max(built) <= evaluate.DECODE_ROWS
@@ -318,10 +318,10 @@ class TestDecodeBatches:
 
 
 class TestExtractAnswer:
-    def result_from_text(self, vocab, text, terminated="EOS"):
+    def result_from_text(self, vocab, text, separator=True):
+        """A decode that ends at EOS with `text` after its separator, or with no separator."""
         return evaluate.GenerationResult(
-            generated=[], cot_segment=[],
-            answer_segment=vocab.tokenize(text), terminated=terminated)
+            [corpus.THINK_END] * separator + vocab.tokenize(text) + [corpus.EOS])
 
     def test_well_formed(self, vocab, languages):
         pivot, _ = languages
@@ -340,7 +340,8 @@ class TestExtractAnswer:
 
     def test_separator_missing_is_none(self, vocab, languages):
         pivot, _ = languages
-        res = self.result_from_text(vocab, "the answer is 7", terminated="SEPARATOR_MISSING")
+        res = self.result_from_text(vocab, "the answer is 7", separator=False)
+        assert res.terminated == "SEPARATOR_MISSING"
         assert evaluate.extract_answer(res, pivot, vocab) is None
 
     def test_empty_answer(self, vocab, languages):
@@ -381,8 +382,8 @@ class TestScore:
         ]
         gold = {s.id: s for s in samples}
 
-        def fake_batch(ckpt, prompts, ids, cfg, vocab_):
-            return [evaluate._segment(list(gold[i].tokens[len(p):]), vocab_)
+        def fake_batch(ckpt, prompts, ids, cfg):
+            return [evaluate.GenerationResult(list(gold[i].tokens[len(p):]))
                     for p, i in zip(prompts, ids)]
 
         monkeypatch.setattr(evaluate, "generate_batch", fake_batch)

@@ -77,7 +77,7 @@ class TestMaskedLoss:
 
     def test_prompt_and_pad_positions_carry_zero_grad(self, tiny_ckpt, vocab, languages):
         s = small_dataset(vocab, languages, n=1)[0]
-        tokens = list(s.tokens) + [vocab.pad] * 4
+        tokens = list(s.tokens) + [corpus.PAD] * 4
         labels = list(s.labels) + [corpus.PAD_LABEL] * 4
         trace = model.forward(tiny_ckpt, tokens)
         _, dlogits = train.masked_loss(trace, tokens, labels, 1.0, 1.0)
@@ -88,7 +88,7 @@ class TestMaskedLoss:
         assert np.all(dlogits[0, -1, :] == 0)
 
     def test_batch_without_answer_targets_rejected(self, tiny_ckpt, vocab):
-        tokens = [vocab.bos, vocab.word_to_id["1"], vocab.think_end]
+        tokens = [corpus.BOS, vocab.word_to_id["1"], corpus.THINK_END]
         labels = [corpus.PROMPT, corpus.PROMPT, corpus.COT]
         trace = model.forward(tiny_ckpt, tokens)
         with pytest.raises(train.TrainError):
@@ -101,7 +101,7 @@ class TestPadBatch:
     def test_matches_the_list_reference(self, vocab, languages, n, regime, mix, seed, pick):
         dataset = corpus.build_dataset(n, mix, regime, seed, vocab, languages)
         batch = pick.sample(dataset, pick.randint(1, len(dataset)))
-        tokens, labels = train.pad_batch(batch, vocab)
+        tokens, labels = train.pad_batch(batch)
         want_tokens, want_labels = oracles.pad_batch(batch, vocab)
         assert tokens.dtype == labels.dtype == np.int64
         assert np.array_equal(tokens, want_tokens) and np.array_equal(labels, want_labels)
@@ -190,7 +190,7 @@ class TestTrainLoop:
         for seed in range(5):
             ckpt = model.init(tiny_config)
             cfg = train.TrainConfig(lr=3e-3, epochs=1, batch_size=12, seed=seed)
-            _, rows = train.train(dataset, ckpt, cfg, vocab)
+            _, rows = train.train(dataset, ckpt, cfg)
             firsts.append(rows[0]["loss_total"])
             lasts.append(rows[-1]["loss_total"])
         assert statistics.median(lasts) < statistics.median(firsts)
@@ -198,8 +198,8 @@ class TestTrainLoop:
     def test_deterministic_given_seed(self, tiny_config, vocab, languages):
         dataset = small_dataset(vocab, languages, n=12)
         cfg = train.TrainConfig(lr=1e-3, epochs=1, batch_size=4, seed=9)
-        c1, r1 = train.train(dataset, model.init(tiny_config), cfg, vocab)
-        c2, r2 = train.train(dataset, model.init(tiny_config), cfg, vocab)
+        c1, r1 = train.train(dataset, model.init(tiny_config), cfg)
+        c2, r2 = train.train(dataset, model.init(tiny_config), cfg)
         assert r1 == r2
         for path in c1.params:
             assert np.array_equal(c1.params[path], c2.params[path])
@@ -207,7 +207,7 @@ class TestTrainLoop:
     def test_log_rows_and_ema(self, tiny_config, vocab, languages):
         dataset = small_dataset(vocab, languages, n=12)
         cfg = train.TrainConfig(lr=1e-3, epochs=2, batch_size=4, seed=1, ema_weight=0.95)
-        _, rows = train.train(dataset, model.init(tiny_config), cfg, vocab)
+        _, rows = train.train(dataset, model.init(tiny_config), cfg)
         assert len(rows) == 2 * 3
         assert [r["step"] for r in rows] == list(range(1, 7))
         assert rows[0]["epoch"] == 1 and rows[-1]["epoch"] == 2
@@ -227,7 +227,7 @@ class TestTrainLoop:
         def on_epoch(epoch, ckpt):
             calls.append((epoch, ckpt.step, {k: v.copy() for k, v in ckpt.params.items()}))
 
-        ckpt, _ = train.train(dataset, model.init(tiny_config), cfg, vocab, on_epoch=on_epoch)
+        ckpt, _ = train.train(dataset, model.init(tiny_config), cfg, on_epoch=on_epoch)
         assert [(epoch, step) for epoch, step, _ in calls] == [(1, 2), (2, 4)]
         last = calls[-1][2]
         for path in ckpt.params:
@@ -245,7 +245,7 @@ class TestTrainLoop:
 
         monkeypatch.setattr(model, "forward", watched)
         cfg = train.TrainConfig(epochs=2, batch_size=4, seed=1)
-        train.train(small_dataset(vocab, languages, n=12), model.init(tiny_config), cfg, vocab)
+        train.train(small_dataset(vocab, languages, n=12), model.init(tiny_config), cfg)
         assert freed == [True] * 6
 
     def test_split_step_peaks_under_70_mib(self, vocab):
@@ -283,7 +283,7 @@ class TestTrainLoop:
         dataset[0].tokens = dataset[0].tokens * 40
         cfg = train.TrainConfig(epochs=1, batch_size=2)
         with pytest.raises(model.ContextLengthError):
-            train.train(dataset, model.init(tiny_config), cfg, vocab)
+            train.train(dataset, model.init(tiny_config), cfg)
 
     def test_batches_are_length_sorted(self, vocab, languages):
         dataset = small_dataset(vocab, languages, n=20, max_steps=4)
