@@ -193,8 +193,8 @@ class ForwardTrace:
     logits: np.ndarray          # (B, T, V)
     hidden: list                # this trace's own hidden states; a split batch keeps none
     tokens: np.ndarray          # (B, T)
-    caches: list                # per layer, the activations backward reads, less each norm's
-    final_cache: dict           # output, rebuilt from its xhat; backward consumes both
+    caches: list                # per layer, only what backward cannot cheaply rebuild: no norm
+    final_cache: dict           # output and no MLP activation; backward consumes both
     checkpoint: Checkpoint      # the producer, whose parameters backward differentiates
     halves: list = field(default_factory=list)  # a split batch's two row-half traces
 
@@ -243,7 +243,8 @@ def _layernorm_backward(dy, w, xhat, inv):
 
 
 def _gelu(u, _with_grad=True):
-    """(GELU(u), GELU'(u) for the backward pass, or None without `_with_grad`), tanh form."""
+    """(GELU(u), GELU'(u), or None without `_with_grad`), tanh form. Every forward skips the
+    derivative; backward takes both from the activation's input, rebuilt from xhat2."""
     t = np.multiply(u, _GELU_A)
     t *= u
     t *= u
@@ -382,13 +383,13 @@ def _forward_rows(ckpt: Checkpoint, tok, kv) -> ForwardTrace:
         h_mid = ctx @ p[lp + "att_o"]
         h_mid += h
         m_in, xhat2, inv2 = _layernorm_forward(h_mid, p[lp + "norm2"])
-        g, gp = _gelu(m_in @ p[lp + "mlp_up"], kv is None)
+        g, _ = _gelu(m_in @ p[lp + "mlp_up"], False)
         h = g @ p[lp + "mlp_down"]
         h += h_mid
         hidden.append(h)
         if kv is None:
             caches.append(dict(xhat1=xhat1, inv1=inv1, q=q, k=k, v=v, att=att, ctx=ctx,
-                               xhat2=xhat2, inv2=inv2, g=g, gp=gp))
+                               xhat2=xhat2, inv2=inv2))
     for c in kv or ():
         c.filled += t
     f, xhat_f, inv_f = _layernorm_forward(h, p["final_norm"])
@@ -430,11 +431,16 @@ def _backward(trace: ForwardTrace, dl) -> dict:
     for i in reversed(range(cfg.n_layers)):
         lp = f"L{i}."
         c = caches.pop()  # entries are popped at their last use; xhat1 and inv1 go with c
-        # MLP branch
-        grads[lp + "mlp_down"] = _outer(c.pop("g"), dh)
+        # MLP branch: the forward's own product of the rebuilt norm output, so the same bits
+        m_in = _norm_out(c["xhat2"], p[lp + "norm2"])
+        g, gp = _gelu(m_in @ p[lp + "mlp_up"])
+        grads[lp + "mlp_down"] = _outer(g, dh)
+        del g
         du = dh @ p[lp + "mlp_down"].T
-        du *= c.pop("gp")
-        grads[lp + "mlp_up"] = _outer(_norm_out(c["xhat2"], p[lp + "norm2"]), du)
+        du *= gp
+        del gp
+        grads[lp + "mlp_up"] = _outer(m_in, du)
+        del m_in
         du = du @ p[lp + "mlp_up"].T
         dx_ln, grads[lp + "norm2"] = _layernorm_backward(du, p[lp + "norm2"],
                                                          c.pop("xhat2"), c.pop("inv2"))

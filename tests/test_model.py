@@ -180,7 +180,8 @@ class TestMatchesOracle:
         self.check(tiny_ckpt, b, 9, seed=100 + b)
 
     def test_gelu_without_derivative(self):
-        """A decoding step skips GELU's derivative and keeps the activation's bits."""
+        """Every forward skips GELU's derivative, which backward's rebuild computes, and
+        keeps the activation's bits."""
         u = np.random.default_rng(0).normal(size=(3, 5, 16)).astype(np.float32)
         g, _ = model._gelu(u)
         g_only, gp = model._gelu(u, False)
@@ -467,6 +468,18 @@ class TestBatchSplit:
         assert model.forward(tiny_ckpt, rows[:1]).halves == []
         cache = model.KVCache(tiny_ckpt.config, 5, 4)
         assert model.forward(tiny_ckpt, rows, kv=[cache]).halves == []
+
+    def test_halves_cache_no_mlp_activation(self, vocab):
+        """A training half caches per layer the norms' inputs and the attention's arrays,
+        and nothing d_ff wide: backward rebuilds the MLP's input and its activation."""
+        cfg = model.ModelConfig(vocab_size=len(vocab))
+        trace = model.forward(model.init(cfg), np.ones((4, 9), dtype=np.int64))
+        assert len(trace.halves) == 2
+        for h in trace.halves:
+            assert len(h.caches) == cfg.n_layers
+            for c in h.caches:
+                assert set(c) == {"xhat1", "inv1", "q", "k", "v", "att", "ctx", "xhat2", "inv2"}
+                assert all(a.shape[-1] != cfg.d_ff for a in c.values())
 
     def test_both_halves_end_before_backward_raises(self, tiny_ckpt):
         """As in forward, a half's error is raised only once the other half has ended."""
