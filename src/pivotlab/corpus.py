@@ -16,13 +16,7 @@ import re
 from array import array
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import atomic_open
-
-# Segment labels of the tokens of a sample (Sample.labels) and of padding.
-PROMPT, COT, ANSWER, PAD_LABEL = 0, 1, 2, 3
-_SEGMENT_LABELS = np.array([PROMPT, COT, ANSWER], dtype=np.uint8)
 
 # The language of each segment (question, trace, answer) under each regime.
 REGIME_LANGS = {
@@ -34,13 +28,17 @@ SEGMENTS = ("QUESTION", "COT", "ANSWER")
 
 OPS = ("ADD", "SUB", "MUL")
 
-# Every vocabulary lists the special words first, so each one's id is its position and
-# an id is special exactly when it is at most EOS.
 SPECIAL_WORDS = ("<pad>", "<bos>", "</think>", "<eos>")
 PAD, BOS, THINK_END, EOS = range(len(SPECIAL_WORDS))
 SIGN_WORD = "-"
 PUNCT = (".", "?", ":", "=", ";")
 DIGITS = tuple(str(d) for d in range(10))
+# Every vocabulary lists these words first, so each one's id is its position: an id is
+# special exactly when it is at most EOS, and a language's word exactly when it is at
+# least FIRST_WORD.
+_LAYOUT = (*SPECIAL_WORDS, *DIGITS, SIGN_WORD, *PUNCT)
+SIGN = _LAYOUT.index(SIGN_WORD)
+FIRST_WORD = len(_LAYOUT)
 
 VALUE_LIMIT = 999
 # Generation keeps running values at most two digits so the task stays
@@ -162,21 +160,9 @@ class Vocab:
         self.id_to_word = {i: w for w, i in self.word_to_id.items()}
         if len(self.id_to_word) != len(self.word_to_id):
             raise CorpusError("vocab is not bijective")
-        self.sign = self.word_to_id[SIGN_WORD]
-        self.digit_ids = {self.word_to_id[d] for d in DIGITS}
-        self.punct_ids = {self.word_to_id[p] for p in PUNCT}
 
     def __len__(self) -> int:
         return len(self.word_to_id)
-
-    def is_lexical(self, token_id: int) -> bool:
-        """True for ordinary words (not digits, sign, punctuation, specials)."""
-        return not (
-            token_id <= EOS
-            or token_id in self.digit_ids
-            or token_id == self.sign
-            or token_id in self.punct_ids
-        )
 
     def tokenize(self, text: str) -> list:
         ids = []
@@ -185,7 +171,7 @@ class Vocab:
                 ids.append(self.word_to_id[piece])
             elif _NUMBER_RE.fullmatch(piece):
                 if piece.startswith("-"):
-                    ids.append(self.sign)
+                    ids.append(SIGN)
                     piece = piece[1:]
                 ids.extend(self.word_to_id[ch] for ch in piece)
             else:
@@ -219,12 +205,10 @@ class Vocab:
 
 
 def build_vocab(languages) -> Vocab:
-    words = [*SPECIAL_WORDS, *DIGITS, SIGN_WORD, *PUNCT]
     lexical = set()
     for lang in languages:
         lexical |= lang.words()
-    words += sorted(lexical)
-    return Vocab({w: i for i, w in enumerate(words)})
+    return Vocab({w: i for i, w in enumerate((*_LAYOUT, *sorted(lexical)))})
 
 
 def gen_problem(rng_seed: int, max_steps: int = DEFAULT_MAX_STEPS,
@@ -287,14 +271,8 @@ class Sample:
 
     @property
     def prompt(self) -> list:
-        """The tokens labelled PROMPT: BOS and the question."""
+        """BOS and the question."""
         return self.tokens[:self.cot_start].tolist()
-
-    @property
-    def labels(self) -> np.ndarray:
-        """Each token's segment label; THINK_END is the trace's last token, EOS the answer's."""
-        return np.repeat(_SEGMENT_LABELS, (self.cot_start, self.answer_start - self.cot_start,
-                                           len(self.tokens) - self.answer_start))
 
     def answer_value(self):
         m = _NUMBER_RE.search(self.answer_text)
@@ -368,7 +346,7 @@ def save_jsonl(samples, path: str) -> None:
 def load_jsonl(path: str, vocab: Vocab, languages) -> list:
     """Samples of a JSONL file. A row is rejected unless its stored languages are its
     regime's and every lexical word of each segment is in that segment's language."""
-    lexical = {w for w, i in vocab.word_to_id.items() if vocab.is_lexical(i)}
+    lexical = {w for w, i in vocab.word_to_id.items() if i >= FIRST_WORD}
     foreign = {lang.id: lexical - lang.words() for lang in languages}
     samples = []
     with open(path, encoding="utf-8") as fh:

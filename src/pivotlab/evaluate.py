@@ -164,7 +164,7 @@ def extract_answer(result: GenerationResult, lang: corpus.Language, vocab: corpu
 
 def conformance(cot_tokens, expected: corpus.Language, vocab: corpus.Vocab) -> float:
     """Fraction of lexical trace tokens drawn from the expected lexicon."""
-    word_ids = [t for t in cot_tokens if t in vocab.id_to_word and vocab.is_lexical(t)]
+    word_ids = [t for t in cot_tokens if corpus.FIRST_WORD <= t < len(vocab)]
     if not word_ids:
         return 0.0
     expected_words = expected.words()

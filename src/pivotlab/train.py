@@ -1,10 +1,13 @@
 """Segment-masked training objective and loop.
 
-The loss splits next-token cross-entropy into a trace term (targets labeled
-COT) and an answer term (targets labeled ANSWER), weighted by alpha and beta.
-With alpha = beta = 1 the total is exactly the sum of the two terms. Each
-term is a per-token mean over its own target positions within the batch, so
-the weights stay comparable across samples with different segment lengths.
+The loss splits next-token cross-entropy into a trace term and an answer
+term, weighted by alpha and beta. A sample's two boundaries say which term a
+target position feeds: the trace runs from `cot_start` up to `answer_start`
+(THINK_END is its last token), and the answer from there to the end (EOS is
+its last token). With alpha = beta = 1 the total is exactly the sum of the
+two terms. Each term is a per-token mean over its own target positions within
+the batch, so the weights stay comparable across samples with different
+segment lengths.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import atomic_open, model
-from .corpus import COT, ANSWER, PAD, PAD_LABEL
+from .corpus import PAD
 
 
 class TrainError(Exception):
@@ -63,31 +66,29 @@ class LossBreakdown:
 
 
 def pad_batch(samples):
-    """Right-pad a list of samples to a (B, T) token array plus label array."""
+    """Right-pad a list of samples to a (B, T) token array, plus a (B, 3) array of each
+    sample's (cot_start, answer_start, len(tokens))."""
     t = max(len(s.tokens) for s in samples)
     tokens = np.full((len(samples), t), PAD, dtype=np.int64)
-    labels = np.full((len(samples), t), PAD_LABEL, dtype=np.int64)
     for i, s in enumerate(samples):
         tokens[i, : len(s.tokens)] = s.tokens
-        labels[i, : len(s.tokens)] = s.labels
-    return tokens, labels
+    bounds = np.array([(s.cot_start, s.answer_start, len(s.tokens)) for s in samples],
+                      dtype=np.int64)
+    return tokens, bounds
 
 
-def masked_loss(trace: model.ForwardTrace, tokens, labels, alpha: float, beta: float):
-    """Split cross-entropy under the next-token convention.
+def masked_loss(logits, tokens, bounds, alpha: float, beta: float):
+    """Split cross-entropy of (B, T, V) logits under the next-token convention.
 
-    Position i predicts token i+1; a target position carries the label of the
-    token being predicted. Returns (LossBreakdown, d(loss)/d(logits)).
+    Position i predicts token i+1, so target j feeds the segment that token j
+    lies in under `pad_batch`'s bounds. Returns (LossBreakdown, d(loss)/d(logits)).
     """
-    logits = trace.logits
-    tokens = np.asarray(tokens, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if tokens.ndim == 1:
-        tokens, labels = tokens[None], labels[None]
     b, t, v = logits.shape
-
     targets = tokens[:, 1:]
-    tlabels = labels[:, 1:]
+    j = np.arange(1, t)
+    cot_start, answer_start, end = bounds.T[:, :, None]
+    cot_pos = (cot_start <= j) & (j < answer_start)
+    ans_pos = (answer_start <= j) & (j < end)
     pred = logits[:, :-1, :]
     zmax = pred.max(axis=-1, keepdims=True)
     z = pred - zmax
@@ -98,14 +99,12 @@ def masked_loss(trace: model.ForwardTrace, tokens, labels, alpha: float, beta: f
         - np.log(sez[:, :, 0])
     )
 
-    cot_pos = tlabels == COT
-    ans_pos = tlabels == ANSWER
     n_cot = int(cot_pos.sum())
     n_ans = int(ans_pos.sum())
     if n_cot == 0:
-        raise TrainError("batch has no trace-labeled target positions")
+        raise TrainError("batch has no trace target positions")
     if n_ans == 0:
-        raise TrainError("batch has no answer-labeled target positions")
+        raise TrainError("batch has no answer target positions")
     loss_cot = float(-logp_target[cot_pos].sum(dtype=np.float64) / n_cot)
     loss_answer = float(-logp_target[ans_pos].sum(dtype=np.float64) / n_ans)
     breakdown = LossBreakdown(
@@ -176,9 +175,9 @@ def _step(batch, ckpt: model.Checkpoint, cfg: TrainConfig, step_index: int,
           state: AdamWState) -> LossBreakdown:
     """One AdamW step on `batch`. Its activations, loss gradient and parameter gradients
     are locals, so they are freed on return, before the next step's forward."""
-    tokens, labels = pad_batch(batch)
+    tokens, bounds = pad_batch(batch)
     trace = model.forward(ckpt, tokens)
-    breakdown, dlogits = masked_loss(trace, tokens, labels, cfg.alpha, cfg.beta)
+    breakdown, dlogits = masked_loss(trace.logits, tokens, bounds, cfg.alpha, cfg.beta)
     adamw_step(ckpt, model.backward(trace, dlogits), cfg, step_index, state)
     return breakdown
 

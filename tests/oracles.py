@@ -12,7 +12,9 @@ of a batch into two row halves, so the two must agree bit for bit.
 
 `segment_labels` spells out a sample's per-token segment labels from its
 three segment token counts, and `pad_batch` right-pads a batch with plain
-lists; `Sample.labels` and `train.pad_batch` must agree with them.
+lists into a token matrix and a label matrix. A sample's two boundaries,
+`train.pad_batch`'s bounds and the target positions that `train.masked_loss`
+sends to each loss term must agree with these labels.
 """
 
 from __future__ import annotations
@@ -21,13 +23,16 @@ import numpy as np
 
 from pivotlab import analysis, corpus, evaluate, model
 
+# Segment labels of a sample's tokens, and of padding.
+PROMPT, COT, ANSWER, PAD_LABEL = 0, 1, 2, 3
+
 
 def segment_labels(n_question: int, n_cot: int, n_answer: int) -> list:
     """Labels for [BOS, question, cot, THINK_END, answer, EOS]."""
     return (
-        [corpus.PROMPT] * (1 + n_question)  # BOS counts as prompt
-        + [corpus.COT] * (n_cot + 1)        # separator terminates the trace
-        + [corpus.ANSWER] * (n_answer + 1)  # EOS is the last answer-segment target
+        [PROMPT] * (1 + n_question)  # BOS counts as prompt
+        + [COT] * (n_cot + 1)        # separator terminates the trace
+        + [ANSWER] * (n_answer + 1)  # EOS is the last answer-segment target
     )
 
 
@@ -41,7 +46,7 @@ def pad_batch(samples, vocab: corpus.Vocab):
     """Token and label rows right-padded to the longest sample, as (B, T) int64 arrays."""
     t = max(len(s.tokens) for s in samples)
     tokens = [list(s.tokens) + [corpus.PAD] * (t - len(s.tokens)) for s in samples]
-    labels = [sample_labels(s, vocab) + [corpus.PAD_LABEL] * (t - len(s.tokens))
+    labels = [sample_labels(s, vocab) + [PAD_LABEL] * (t - len(s.tokens))
               for s in samples]
     return np.array(tokens, dtype=np.int64), np.array(labels, dtype=np.int64)
 

@@ -79,9 +79,9 @@ class TestCriterion2LossAdditivity:
         rng = random.Random(11)
         for b in range(100):
             batch = [_sample(vocab, languages, rng.getrandbits(30)) for _ in range(3)]
-            tokens, labels = train.pad_batch(batch)
+            tokens, bounds = train.pad_batch(batch)
             trace = model.forward(ckpt, tokens)
-            bd = train.masked_loss(trace, tokens, labels, 1.0, 1.0)[0]
+            bd = train.masked_loss(trace.logits, tokens, bounds, 1.0, 1.0)[0]
             worst = max(worst, abs(bd.loss_total - (bd.loss_cot + bd.loss_answer)))
         ok = worst <= 1e-12
         announce(capsys, 2, ok,
@@ -100,35 +100,37 @@ class TestCriterion3MaskExclusivity:
         for _ in range(20):
             s = _sample(vocab, languages, rng.getrandbits(30))
             tokens = list(s.tokens)
-            labels = list(s.labels)
+            bounds = np.array([[s.cot_start, s.answer_start, len(tokens)]])
 
             # beta=0: shuffling the answer tokens end-to-end (inputs and
             # targets) cannot touch the trace loss, by causality
-            base = train.masked_loss(model.forward(ckpt, tokens), tokens, labels,
-                                     1.0, 0.0)[0].loss_total
-            ans_idx = [i for i, l in enumerate(labels)
-                       if l == corpus.ANSWER and tokens[i] not in (corpus.EOS,)]
+            base = train.masked_loss(model.forward(ckpt, tokens).logits, np.array([tokens]),
+                                     bounds, 1.0, 0.0)[0].loss_total
+            ans_idx = [i for i in range(s.answer_start, len(tokens))
+                       if tokens[i] not in (corpus.EOS,)]
             shuffled = list(tokens)
             perm = list(ans_idx)
             rng.shuffle(perm)
             for i, j in zip(ans_idx, perm):
                 shuffled[i] = tokens[j]
-            permuted = train.masked_loss(model.forward(ckpt, shuffled), shuffled,
-                                         labels, 1.0, 0.0)[0].loss_total
+            permuted = train.masked_loss(model.forward(ckpt, shuffled).logits,
+                                         np.array([shuffled]), bounds, 1.0, 0.0)[0].loss_total
             max_beta0 = max(max_beta0, abs(permuted - base))
 
             # alpha=0: with the forward pass held fixed, permuting the
             # trace-segment targets cannot touch the answer loss
             trace = model.forward(ckpt, tokens)
-            base_a = train.masked_loss(trace, tokens, labels, 0.0, 1.0)[0].loss_total
-            cot_idx = [i for i, l in enumerate(labels)
-                       if l == corpus.COT and tokens[i] != corpus.THINK_END]
+            base_a = train.masked_loss(trace.logits, np.array([tokens]), bounds,
+                                       0.0, 1.0)[0].loss_total
+            cot_idx = [i for i in range(s.cot_start, s.answer_start)
+                       if tokens[i] != corpus.THINK_END]
             shuffled_t = list(tokens)
             perm = list(cot_idx)
             rng.shuffle(perm)
             for i, j in zip(cot_idx, perm):
                 shuffled_t[i] = tokens[j]
-            permuted_a = train.masked_loss(trace, shuffled_t, labels, 0.0, 1.0)[0].loss_total
+            permuted_a = train.masked_loss(trace.logits, np.array([shuffled_t]), bounds,
+                                           0.0, 1.0)[0].loss_total
             max_alpha0 = max(max_alpha0, abs(permuted_a - base_a))
         ok = max_beta0 == 0.0 and max_alpha0 == 0.0
         announce(capsys, 3, ok,

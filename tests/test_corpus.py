@@ -11,6 +11,12 @@ from pivotlab import corpus
 VOCAB = corpus.build_vocab(corpus.default_languages())
 
 
+def boundary_labels(s):
+    """The reference labels spelled out from the sample's own segment boundaries."""
+    return oracles.segment_labels(s.cot_start - 1, s.answer_start - s.cot_start - 1,
+                                  len(s.tokens) - s.answer_start - 1)
+
+
 def brute_force_eval(start, steps):
     """Independent oracle: fold the step list over plain integer ops."""
     values = []
@@ -68,7 +74,7 @@ class TestLanguages:
         # every lexical token belongs to exactly one language
         pivot, target = languages
         for word, tid in vocab.word_to_id.items():
-            if vocab.is_lexical(tid):
+            if tid >= corpus.FIRST_WORD:
                 assert (word in pivot.words()) != (word in target.words())
 
 
@@ -116,7 +122,7 @@ class TestTokenize:
 
     def test_negative_number(self, vocab):
         ids = vocab.tokenize("-12")
-        assert ids == [vocab.sign, vocab.word_to_id["1"], vocab.word_to_id["2"]]
+        assert ids == [corpus.SIGN, vocab.word_to_id["1"], vocab.word_to_id["2"]]
 
     def test_unknown_word(self, vocab):
         with pytest.raises(corpus.UnknownWordError):
@@ -135,10 +141,20 @@ class TestTokenize:
     def test_any_ids_round_trip(self, ids):
         assert VOCAB.tokenize(VOCAB.detokenize(ids)) == ids
 
-    def test_vocab_layout(self, vocab, tmp_path):
-        """The special words take the first ids, and vocab.json keeps its pinned bytes."""
+    def test_vocab_layout(self, vocab, languages, tmp_path):
+        """The special words, digits, sign and punctuation take the first ids in that order,
+        every later id is a word of exactly one language, and vocab.json keeps its pinned
+        bytes."""
         ids = [vocab.word_to_id[w] for w in ("<pad>", "<bos>", "</think>", "<eos>")]
         assert ids == [corpus.PAD, corpus.BOS, corpus.THINK_END, corpus.EOS] == [0, 1, 2, 3]
+        assert [vocab.word_to_id[str(d)] for d in range(10)] == list(range(4, 14))
+        assert vocab.word_to_id["-"] == corpus.SIGN == 14
+        assert [vocab.word_to_id[p] for p in ".?:=;"] == list(range(15, 20))
+        assert corpus.FIRST_WORD == 20
+        pivot, target = (lang.words() for lang in languages)
+        words = [vocab.id_to_word[i] for i in range(corpus.FIRST_WORD, len(vocab))]
+        assert all((w in pivot) != (w in target) for w in words)
+        assert sorted(words) == sorted(pivot | target)
         path = tmp_path / "vocab.json"
         vocab.save(str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == \
@@ -177,7 +193,7 @@ class TestBuildDataset:
         samples = corpus.build_dataset(50, 0.0, "PIVOTED", 11, vocab, languages)
         for s in samples:
             for tid in vocab.tokenize(s.cot_text):
-                if vocab.is_lexical(tid):
+                if tid >= corpus.FIRST_WORD:
                     assert vocab.id_to_word[tid] in pivot_words
 
     def test_single_separator_and_mask_order(self, vocab, languages):
@@ -185,13 +201,13 @@ class TestBuildDataset:
         for s in samples:
             assert s.tokens.count(corpus.THINK_END) == 1
             sep_idx = s.tokens.index(corpus.THINK_END)
-            labels = list(s.labels)
+            labels = boundary_labels(s)
             assert len(labels) == len(s.tokens)
-            assert labels[sep_idx] == corpus.COT
-            assert labels[sep_idx + 1] == corpus.ANSWER
+            assert labels[sep_idx] == oracles.COT
+            assert labels[sep_idx + 1] == oracles.ANSWER
             # labels are a non-decreasing PROMPT+ COT+ ANSWER+ run
             assert sorted(labels) == labels
-            assert {corpus.PROMPT, corpus.COT, corpus.ANSWER} <= set(labels)
+            assert {oracles.PROMPT, oracles.COT, oracles.ANSWER} <= set(labels)
 
     def test_answer_faithfulness(self, vocab, languages):
         samples = corpus.build_dataset(100, 1.0, "PIVOTED", 13, vocab, languages)
@@ -208,7 +224,7 @@ class TestBuildDataset:
         loaded = corpus.load_jsonl(str(a), vocab, languages)
         original = corpus.build_dataset(40, 1.0, "PIVOTED", 21, vocab, languages)
         assert [s.tokens for s in loaded] == [s.tokens for s in original]
-        assert [list(s.labels) for s in loaded] == [list(s.labels) for s in original]
+        assert [boundary_labels(s) for s in loaded] == [boundary_labels(s) for s in original]
 
     @given(n=st.integers(1, 12), regime=st.sampled_from(sorted(corpus.REGIME_LANGS)),
            mix=st.floats(0.0, 1.0), seed=st.integers(0, 2**64))
@@ -230,7 +246,7 @@ class TestBuildDataset:
         corpus.save_jsonl(samples, str(path))
         for s in samples + corpus.load_jsonl(str(path), vocab, languages):
             assert s.prompt == [corpus.BOS] + vocab.tokenize(s.question_text)
-            assert list(s.labels) == oracles.sample_labels(s, vocab)
+            assert boundary_labels(s) == oracles.sample_labels(s, vocab)
             assert s.langs == corpus.REGIME_LANGS[s.regime]
             for text, lang in zip((s.question_text, s.cot_text, s.answer_text), s.langs):
                 lexical = every_word.intersection(text.split())

@@ -28,15 +28,17 @@ def manual_cross_entropy(logits_row, target):
 class TestMaskedLoss:
     def test_matches_manual_cross_entropy(self, tiny_ckpt, vocab, languages):
         s = small_dataset(vocab, languages, n=1, max_steps=1)[0]
-        trace = model.forward(tiny_ckpt, s.tokens)
-        bd = train.masked_loss(trace, s.tokens, s.labels, 1.0, 1.0)[0]
+        tokens, bounds = train.pad_batch([s])
+        trace = model.forward(tiny_ckpt, tokens)
+        bd = train.masked_loss(trace.logits, tokens, bounds, 1.0, 1.0)[0]
         logits = trace.logits[0]
+        labels = oracles.sample_labels(s, vocab)
         cot_terms, ans_terms = [], []
         for i in range(len(s.tokens) - 1):
             ce = manual_cross_entropy(np.asarray(logits[i], dtype=np.float64), s.tokens[i + 1])
-            if s.labels[i + 1] == corpus.COT:
+            if labels[i + 1] == oracles.COT:
                 cot_terms.append(ce)
-            elif s.labels[i + 1] == corpus.ANSWER:
+            elif labels[i + 1] == oracles.ANSWER:
                 ans_terms.append(ce)
         assert bd.loss_cot == pytest.approx(statistics.mean(cot_terms), rel=1e-9)
         assert bd.loss_answer == pytest.approx(statistics.mean(ans_terms), rel=1e-9)
@@ -44,67 +46,96 @@ class TestMaskedLoss:
         assert bd.n_cot == len(cot_terms) and bd.n_answer == len(ans_terms)
 
     def test_alpha_beta_weighting(self, tiny_ckpt, vocab, languages):
-        s = small_dataset(vocab, languages, n=1)[0]
-        trace = model.forward(tiny_ckpt, s.tokens)
-        bd = train.masked_loss(trace, s.tokens, s.labels, 2.0, 0.5)[0]
+        tokens, bounds = train.pad_batch(small_dataset(vocab, languages, n=1))
+        trace = model.forward(tiny_ckpt, tokens)
+        bd = train.masked_loss(trace.logits, tokens, bounds, 2.0, 0.5)[0]
         assert bd.loss_total == pytest.approx(2.0 * bd.loss_cot + 0.5 * bd.loss_answer)
 
     def test_uniform_logits_loss_is_log_vocab(self, tiny_config, vocab, languages):
-        s = small_dataset(vocab, languages, n=1)[0]
+        tokens, bounds = train.pad_batch(small_dataset(vocab, languages, n=1))
         ckpt = model.init(tiny_config)
         for path in ckpt.params:
             ckpt.params[path][:] = 0.0
-        trace = model.forward(ckpt, s.tokens)
-        bd = train.masked_loss(trace, s.tokens, s.labels, 1.0, 1.0)[0]
+        trace = model.forward(ckpt, tokens)
+        bd = train.masked_loss(trace.logits, tokens, bounds, 1.0, 1.0)[0]
         assert bd.loss_cot == pytest.approx(math.log(tiny_config.vocab_size), rel=1e-9)
         assert bd.loss_answer == pytest.approx(math.log(tiny_config.vocab_size), rel=1e-9)
 
     def test_gradient_matches_finite_difference(self, tiny_ckpt, vocab, languages):
-        s = small_dataset(vocab, languages, n=1, max_steps=1)[0]
-        trace = model.forward(tiny_ckpt, s.tokens)
-        _, dlogits = train.masked_loss(trace, s.tokens, s.labels, 1.3, 0.7)
+        tokens, bounds = train.pad_batch(small_dataset(vocab, languages, n=1, max_steps=1))
+        trace = model.forward(tiny_ckpt, tokens)
+        _, dlogits = train.masked_loss(trace.logits, tokens, bounds, 1.3, 0.7)
         eps = 1e-6
         rng = np.random.default_rng(0)
         flat = trace.logits.ravel()
         for idx in rng.choice(flat.size, size=40, replace=False):
             orig = flat[idx]
             flat[idx] = orig + eps
-            hi = train.masked_loss(trace, s.tokens, s.labels, 1.3, 0.7)[0].loss_total
+            hi = train.masked_loss(trace.logits, tokens, bounds, 1.3, 0.7)[0].loss_total
             flat[idx] = orig - eps
-            lo = train.masked_loss(trace, s.tokens, s.labels, 1.3, 0.7)[0].loss_total
+            lo = train.masked_loss(trace.logits, tokens, bounds, 1.3, 0.7)[0].loss_total
             flat[idx] = orig
             assert dlogits.ravel()[idx] == pytest.approx((hi - lo) / (2 * eps), abs=1e-7)
 
     def test_prompt_and_pad_positions_carry_zero_grad(self, tiny_ckpt, vocab, languages):
         s = small_dataset(vocab, languages, n=1)[0]
-        tokens = list(s.tokens) + [corpus.PAD] * 4
-        labels = list(s.labels) + [corpus.PAD_LABEL] * 4
+        tokens, bounds = train.pad_batch([s])
+        tokens = np.pad(tokens, ((0, 0), (0, 4)), constant_values=corpus.PAD)
+        labels = oracles.sample_labels(s, vocab) + [oracles.PAD_LABEL] * 4
         trace = model.forward(tiny_ckpt, tokens)
-        _, dlogits = train.masked_loss(trace, tokens, labels, 1.0, 1.0)
+        _, dlogits = train.masked_loss(trace.logits, tokens, bounds, 1.0, 1.0)
         labels_arr = np.asarray(labels)
         # position i holds grad for predicting token i+1
-        inert = np.where((labels_arr[1:] == corpus.PROMPT) | (labels_arr[1:] == corpus.PAD_LABEL))[0]
+        inert = np.where((labels_arr[1:] == oracles.PROMPT) | (labels_arr[1:] == oracles.PAD_LABEL))[0]
         assert np.all(dlogits[0, inert, :] == 0)
         assert np.all(dlogits[0, -1, :] == 0)
 
     def test_batch_without_answer_targets_rejected(self, tiny_ckpt, vocab):
-        tokens = [corpus.BOS, vocab.word_to_id["1"], corpus.THINK_END]
-        labels = [corpus.PROMPT, corpus.PROMPT, corpus.COT]
+        tokens = np.array([[corpus.BOS, vocab.word_to_id["1"], corpus.THINK_END]])
+        bounds = np.array([[2, 3, 3]])  # labels PROMPT, PROMPT, COT
         trace = model.forward(tiny_ckpt, tokens)
         with pytest.raises(train.TrainError):
-            train.masked_loss(trace, tokens, labels, 1.0, 1.0)
+            train.masked_loss(trace.logits, tokens, bounds, 1.0, 1.0)
+
+
+def random_batch(vocab, languages, n, regime, mix, seed, pick):
+    dataset = corpus.build_dataset(n, mix, regime, seed, vocab, languages)
+    return pick.sample(dataset, pick.randint(1, len(dataset)))
+
+
+BATCHES = dict(n=st.integers(1, 12), regime=st.sampled_from(sorted(corpus.REGIME_LANGS)),
+               mix=st.floats(0.0, 1.0), seed=st.integers(0, 2**64), pick=st.randoms())
 
 
 class TestPadBatch:
-    @given(n=st.integers(1, 12), regime=st.sampled_from(sorted(corpus.REGIME_LANGS)),
-           mix=st.floats(0.0, 1.0), seed=st.integers(0, 2**64), pick=st.randoms())
+    @given(**BATCHES)
     def test_matches_the_list_reference(self, vocab, languages, n, regime, mix, seed, pick):
-        dataset = corpus.build_dataset(n, mix, regime, seed, vocab, languages)
-        batch = pick.sample(dataset, pick.randint(1, len(dataset)))
-        tokens, labels = train.pad_batch(batch)
+        batch = random_batch(vocab, languages, n, regime, mix, seed, pick)
+        tokens, bounds = train.pad_batch(batch)
         want_tokens, want_labels = oracles.pad_batch(batch, vocab)
-        assert tokens.dtype == labels.dtype == np.int64
-        assert np.array_equal(tokens, want_tokens) and np.array_equal(labels, want_labels)
+        assert tokens.dtype == bounds.dtype == np.int64
+        assert np.array_equal(tokens, want_tokens)
+        assert bounds.tolist() == [
+            [row.index(oracles.COT), row.index(oracles.ANSWER),
+             len(row) - row.count(oracles.PAD_LABEL)] for row in want_labels.tolist()]
+
+    @given(**BATCHES)
+    def test_masked_loss_routes_the_reference_labels(self, vocab, languages, n, regime, mix,
+                                                     seed, pick):
+        """Target j feeds the trace term when the reference labels token j COT and the
+        answer term when they label it ANSWER; no other position carries gradient."""
+        batch = random_batch(vocab, languages, n, regime, mix, seed, pick)
+        tokens, bounds = train.pad_batch(batch)
+        want_tokens, want_labels = oracles.pad_batch(batch, vocab)
+        assert np.array_equal(tokens, want_tokens)
+        logits = np.random.default_rng(seed).standard_normal((*tokens.shape, len(vocab)))
+        bd, dlogits = train.masked_loss(logits.astype(np.float32), tokens, bounds, 1.0, 1.0)
+        target_labels = want_labels[:, 1:]
+        assert bd.n_cot == np.count_nonzero(target_labels == oracles.COT)
+        assert bd.n_answer == np.count_nonzero(target_labels == oracles.ANSWER)
+        live = (target_labels == oracles.COT) | (target_labels == oracles.ANSWER)
+        assert np.array_equal(dlogits[:, :-1].any(axis=-1), live)
+        assert not dlogits[:, -1].any()
 
 
 class TestAdamW:
@@ -255,12 +286,11 @@ class TestTrainLoop:
         before the layer below allocates its temporaries."""
         ckpt = model.init(model.ModelConfig(vocab_size=len(vocab)))
         tokens = np.random.default_rng(0).integers(0, len(vocab), size=(24, 106))
-        labels = np.repeat([[corpus.PROMPT] * 20 + [corpus.COT] * 70 + [corpus.ANSWER] * 16],
-                           24, axis=0)
+        bounds = np.repeat([[20, 90, 106]], 24, axis=0)  # 20 prompt, 70 trace, 16 answer
         tracemalloc.start()
         try:
             trace = model.forward(ckpt, tokens)
-            _, dlogits = train.masked_loss(trace, tokens, labels, 1.0, 1.0)
+            _, dlogits = train.masked_loss(trace.logits, tokens, bounds, 1.0, 1.0)
             model.backward(trace, dlogits)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
