@@ -258,8 +258,7 @@ def _eval(cfg: dict, ckpt, testset, mode: str, cot_lang: str | None, records_pat
     """Score `ckpt` on `testset`; traces are held to `cot_lang` (PIVOT or TARGET), or by
     default to each item's own trace language. Writes the records and the report."""
     gcfg = evaluate.GenConfig(**{**cfg["eval"], "mode": mode}, seed=cfg["seed"])
-    expected = {lang.id: lang for lang in LANGUAGES}.get(cot_lang)
-    report, records = evaluate.score(ckpt, testset, gcfg, VOCAB, LANGUAGES, expected)
+    report, records = evaluate.score(ckpt, testset, gcfg, VOCAB, LANGUAGES, cot_lang)
     _write_lines((json.dumps(r, sort_keys=True) for r in records), records_path, cfg)
     write_json(report, report_path, cfg)
     return report, records

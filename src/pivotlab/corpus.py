@@ -253,6 +253,14 @@ def render(problem: Problem, segment: str, lang: Language) -> str:
     raise CorpusError(f"unknown segment {segment!r}")
 
 
+def answer_value(text: str, lang: Language):
+    """The number of a text that is `lang`'s answer phrase and one number, else None."""
+    *words, number = text.split() or [""]
+    if words != lang.lexicon["answer_phrase"].split() or not _NUMBER_RE.fullmatch(number):
+        return None
+    return int(number)
+
+
 @dataclass
 class Sample:
     id: str
@@ -273,10 +281,6 @@ class Sample:
     def prompt(self) -> list:
         """BOS and the question."""
         return self.tokens[:self.cot_start].tolist()
-
-    def answer_value(self):
-        m = _NUMBER_RE.search(self.answer_text)
-        return int(m.group()) if m else None
 
 
 def _assemble(sid: str, regime: str, q: str, c: str, a: str, vocab: Vocab) -> Sample:
@@ -344,10 +348,11 @@ def save_jsonl(samples, path: str) -> None:
 
 
 def load_jsonl(path: str, vocab: Vocab, languages) -> list:
-    """Samples of a JSONL file. A row is rejected unless its stored languages are its
-    regime's and every lexical word of each segment is in that segment's language."""
+    """Samples of a JSONL file. A row is rejected unless its languages are its regime's,
+    each segment's lexical words are in its language, and `answer_value` reads its answer."""
+    by_id = {lang.id: lang for lang in languages}
     lexical = {w for w, i in vocab.word_to_id.items() if i >= FIRST_WORD}
-    foreign = {lang.id: lexical - lang.words() for lang in languages}
+    foreign = {i: lexical - lang.words() for i, lang in by_id.items()}
     samples = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -367,5 +372,7 @@ def load_jsonl(path: str, vocab: Vocab, languages) -> list:
                 stray = foreign[lang].intersection(text.split())
                 if stray:
                     raise CorpusError(f"sample {sid}: {seg} words {sorted(stray)} are not {lang}")
+            if answer_value(a, by_id[stored[2]]) is None:
+                raise CorpusError(f"sample {sid}: answer {a!r} is not a {stored[2]} answer")
             samples.append(s)
     return samples

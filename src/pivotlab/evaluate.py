@@ -1,4 +1,4 @@
-"""Decoding, answer extraction, scoring, and correction-rate matrices."""
+"""Decoding, scoring, and correction-rate matrices."""
 
 from __future__ import annotations
 
@@ -144,24 +144,6 @@ def generate(ckpt: model.Checkpoint, prompt, cfg: GenConfig) -> GenerationResult
     return generate_batch(ckpt, [prompt], [""], cfg)[0]
 
 
-def extract_answer(result: GenerationResult, lang: corpus.Language, vocab: corpus.Vocab):
-    """Signed integer parsed from the answer segment, or None."""
-    if result.terminated == "SEPARATOR_MISSING" or not result.answer_segment:
-        return None
-    try:
-        text = vocab.detokenize(result.answer_segment)
-    except corpus.UnknownWordError:
-        return None
-    words = text.split()
-    phrase = lang.lexicon["answer_phrase"].split()
-    if words[: len(phrase)] != phrase:
-        return None
-    rest = words[len(phrase) :]
-    if len(rest) != 1 or not corpus._NUMBER_RE.fullmatch(rest[0]):
-        return None
-    return int(rest[0])
-
-
 def conformance(cot_tokens, expected: corpus.Language, vocab: corpus.Vocab) -> float:
     """Fraction of lexical trace tokens drawn from the expected lexicon."""
     word_ids = [t for t in cot_tokens if corpus.FIRST_WORD <= t < len(vocab)]
@@ -173,12 +155,12 @@ def conformance(cot_tokens, expected: corpus.Language, vocab: corpus.Vocab) -> f
 
 
 def score(ckpt: model.Checkpoint, testset, cfg: GenConfig, vocab: corpus.Vocab,
-          languages, expected_cot_lang: corpus.Language | None = None):
-    """Exact-match accuracy plus trace-language conformance to `expected_cot_lang`, or
-    by default to each sample's own trace language.
+          languages, cot_lang: str | None = None):
+    """Exact-match accuracy plus trace-language conformance to the language `cot_lang`
+    names, or by default to each sample's own trace language.
 
-    Returns (report dict, per-item record list). Gold answers come from the
-    testset samples' answer segments.
+    Returns (report dict, per-item record list). The gold answer and the decoded one
+    are both read by `corpus.answer_value` in the sample's answer language.
     """
     if not testset:
         raise EvalError("empty testset")
@@ -186,17 +168,16 @@ def score(ckpt: model.Checkpoint, testset, cfg: GenConfig, vocab: corpus.Vocab,
     results = generate_batch(ckpt, [s.prompt for s in testset], [s.id for s in testset], cfg)
     records = []
     for s, res in zip(testset, results):
-        _, cot_lang, answer_lang = s.langs
-        gold = s.answer_value()
-        predicted = extract_answer(res, by_id[answer_lang], vocab)
+        _, trace_lang, answer_lang = s.langs
+        gold = corpus.answer_value(s.answer_text, by_id[answer_lang])
+        predicted = corpus.answer_value(vocab.detokenize(res.answer_segment), by_id[answer_lang])
         records.append({
             "id": s.id,
             "gold": gold,
             "predicted": predicted,
             "correct": bool(predicted is not None and predicted == gold),
             "terminated": res.terminated,
-            "conformance": conformance(res.cot_segment, expected_cot_lang or by_id[cot_lang],
-                                       vocab),
+            "conformance": conformance(res.cot_segment, by_id[cot_lang or trace_lang], vocab),
             "regime": s.regime,
         })
     report = _summarize(records)

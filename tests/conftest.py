@@ -69,6 +69,9 @@ MALFORMED_ROWS = {
     "target_word_in_pivot_trace":
         lambda row: {**row, "cot": row["cot"].replace("step", "pasi", 1)},
     "native_row_with_pivot_trace": lambda row: {**row, "regime": "NATIVE", "cot_lang": "TARGET"},
+    "answer_phrase_alone": lambda row: {**row, "answer": row["answer"].rsplit(" ", 1)[0]},
+    "answer_two_numbers": lambda row: {**row, "answer": row["answer"] + " 7"},
+    "answer_number_first": lambda row: {**row, "answer": "41 tena vasti den"},
 }
 
 

@@ -4,6 +4,9 @@
 `model.forward` for every new token, with no key/value cache and no
 batching; `candidate_set` and `_pick` choose its tokens one row at a time.
 `embed` pools hidden states one item at a time on top of it.
+`extract_answer` reads a decode's answer in steps: no separator, an empty
+segment, an unknown id, the phrase prefix, then exactly one number after it;
+`corpus.answer_value` on the detokenised answer segment must agree with it.
 
 `forward` and `backward` are the model maths written plainly, every
 intermediate in a fresh array. They run the same floating-point operations
@@ -95,6 +98,24 @@ def generate(ckpt: model.Checkpoint, prompt, cfg: evaluate.GenConfig,
         if tok == corpus.EOS:
             break
     return evaluate.GenerationResult(generated)
+
+
+def extract_answer(result: evaluate.GenerationResult, lang: corpus.Language, vocab: corpus.Vocab):
+    """Signed integer parsed from the answer segment, or None."""
+    if result.terminated == "SEPARATOR_MISSING" or not result.answer_segment:
+        return None
+    try:
+        text = vocab.detokenize(result.answer_segment)
+    except corpus.UnknownWordError:
+        return None
+    words = text.split()
+    phrase = lang.lexicon["answer_phrase"].split()
+    if words[: len(phrase)] != phrase:
+        return None
+    rest = words[len(phrase) :]
+    if len(rest) != 1 or not corpus._NUMBER_RE.fullmatch(rest[0]):
+        return None
+    return int(rest[0])
 
 
 def _with_trace(ckpt: model.Checkpoint, tokens, max_new_tokens: int) -> list:

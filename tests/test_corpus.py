@@ -209,11 +209,15 @@ class TestBuildDataset:
             assert sorted(labels) == labels
             assert {oracles.PROMPT, oracles.COT, oracles.ANSWER} <= set(labels)
 
-    def test_answer_faithfulness(self, vocab, languages):
-        samples = corpus.build_dataset(100, 1.0, "PIVOTED", 13, vocab, languages)
-        for s in samples:
-            assert s.answer_value() is not None
-            assert str(s.answer_value()) == s.answer_text.split()[-1]
+    @given(seed=st.integers(0, 2**62), regime=st.sampled_from(sorted(corpus.REGIME_LANGS)),
+           max_steps=st.integers(1, 8), value_cap=st.integers(1, corpus.VALUE_LIMIT))
+    def test_answer_faithfulness(self, vocab, languages, seed, regime, max_steps, value_cap):
+        """A generated sample's answer reads, in its answer language, as the problem's
+        last value."""
+        problem = corpus.gen_problem(seed, max_steps, value_cap)
+        s = corpus.make_sample(problem, regime, "a", vocab, languages)
+        answer_lang = next(lang for lang in languages if lang.id == s.langs[2])
+        assert corpus.answer_value(s.answer_text, answer_lang) == problem.values[-1]
 
     def test_jsonl_round_trip_and_determinism(self, vocab, languages, tmp_path):
         a = tmp_path / "a.jsonl"

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pivotlab import corpus, evaluate, model
 
@@ -317,6 +318,18 @@ class TestDecodeBatches:
         assert max(map(sum, fed)) == evaluate.DECODE_ROWS
 
 
+def read_answer(res, lang, vocab):
+    """A decode's answer as `score` reads it."""
+    return corpus.answer_value(vocab.detokenize(res.answer_segment), lang)
+
+
+# Ids that may follow an answer phrase: digits, the sign, punctuation and words, specials.
+N_IDS = len(corpus.build_vocab(corpus.default_languages()))
+ANSWER_TAIL_IDS = st.one_of(st.integers(corpus.EOS + 1, corpus.SIGN - 1), st.just(corpus.SIGN),
+                            st.integers(corpus.SIGN + 1, N_IDS - 1),
+                            st.integers(corpus.PAD, corpus.EOS))
+
+
 class TestExtractAnswer:
     def result_from_text(self, vocab, text, separator=True):
         """A decode that ends at EOS with `text` after its separator, or with no separator."""
@@ -326,28 +339,42 @@ class TestExtractAnswer:
     def test_well_formed(self, vocab, languages):
         pivot, _ = languages
         res = self.result_from_text(vocab, "the answer is -42")
-        assert evaluate.extract_answer(res, pivot, vocab) == -42
+        assert read_answer(res, pivot, vocab) == -42
 
     def test_wrong_language_phrase(self, vocab, languages):
         pivot, target = languages
         res = self.result_from_text(vocab, "the answer is 7")
-        assert evaluate.extract_answer(res, target, vocab) is None
+        assert read_answer(res, target, vocab) is None
 
     def test_trailing_garbage(self, vocab, languages):
         pivot, _ = languages
         res = self.result_from_text(vocab, "the answer is 7 step")
-        assert evaluate.extract_answer(res, pivot, vocab) is None
+        assert read_answer(res, pivot, vocab) is None
 
     def test_separator_missing_is_none(self, vocab, languages):
         pivot, _ = languages
         res = self.result_from_text(vocab, "the answer is 7", separator=False)
         assert res.terminated == "SEPARATOR_MISSING"
-        assert evaluate.extract_answer(res, pivot, vocab) is None
+        assert read_answer(res, pivot, vocab) is None
 
     def test_empty_answer(self, vocab, languages):
         pivot, _ = languages
         res = self.result_from_text(vocab, "")
-        assert evaluate.extract_answer(res, pivot, vocab) is None
+        assert read_answer(res, pivot, vocab) is None
+
+    @settings(max_examples=500)
+    @given(which=st.integers(0, 1), phrase=st.sampled_from(("full", "partial", "other")),
+           cut=st.integers(0, 2), tail=st.lists(ANSWER_TAIL_IDS, max_size=4),
+           separator=st.booleans())
+    def test_matches_the_reference(self, vocab, languages, which, phrase, cut, tail, separator):
+        """On any answer segment, `score`'s reading equals `oracles.extract_answer`."""
+        lang, other = languages[which], languages[1 - which]
+        words = lang.lexicon["answer_phrase"].split()
+        head = {"full": words, "partial": words[:cut],
+                "other": other.lexicon["answer_phrase"].split()}[phrase]
+        res = evaluate.GenerationResult([corpus.THINK_END] * separator
+                                        + vocab.tokenize(" ".join(head)) + tail + [corpus.EOS])
+        assert read_answer(res, lang, vocab) == oracles.extract_answer(res, lang, vocab)
 
 
 class TestConformance:
@@ -387,9 +414,8 @@ class TestScore:
                     for p, i in zip(prompts, ids)]
 
         monkeypatch.setattr(evaluate, "generate_batch", fake_batch)
-        pivot, _ = languages
         report, records = evaluate.score(
-            tiny_ckpt, samples, evaluate.GenConfig(mode="greedy"), vocab, languages, pivot)
+            tiny_ckpt, samples, evaluate.GenConfig(mode="greedy"), vocab, languages, "PIVOT")
         assert report["accuracy"] == 1.0
         assert report["conformance_mean"] == 1.0
         assert report["n"] == 8
@@ -402,9 +428,8 @@ class TestScore:
                                f"u-{i:03d}", vocab, languages)
             for i in range(4)
         ]
-        _, target = languages
         cfg = evaluate.GenConfig(mode="sample", seed=0, max_new_tokens=24)
-        report, records = evaluate.score(tiny_ckpt, samples, cfg, vocab, languages, target)
+        report, records = evaluate.score(tiny_ckpt, samples, cfg, vocab, languages, "TARGET")
         assert 0.0 <= report["accuracy"] <= 1.0
         assert len(records) == 4
         for r in records:
@@ -414,7 +439,7 @@ class TestScore:
 
     def test_empty_testset_rejected(self, tiny_ckpt, vocab, languages):
         with pytest.raises(evaluate.EvalError):
-            evaluate.score(tiny_ckpt, [], evaluate.GenConfig(), vocab, languages, languages[0])
+            evaluate.score(tiny_ckpt, [], evaluate.GenConfig(), vocab, languages, "PIVOT")
 
 
 class TestCorrectionMatrix:
