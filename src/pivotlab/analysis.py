@@ -59,8 +59,9 @@ def embed(ckpt: model.Checkpoint, items: list, scope: str, max_new_tokens: int) 
     """Mean token hidden state of each (id, token sequence) item, at every hidden state:
     one list of (id, vector) per layer, the input embedding's first.
 
-    One forward per item. QUESTION_PLUS_COT first appends the model's greedy-decoded
-    reasoning trace of at most `max_new_tokens`, batched across items, to each question.
+    One inference forward per item, a prefill of a cache of its length. QUESTION_PLUS_COT
+    first appends the model's greedy-decoded reasoning trace of at most `max_new_tokens`,
+    batched across items, to each question.
     """
     check_settings(len(items), scope)
     for iid, tokens in items:
@@ -73,7 +74,7 @@ def embed(ckpt: model.Checkpoint, items: list, scope: str, max_new_tokens: int) 
         seqs = [s + r.cot_segment for s, r in zip(seqs, results)]
     per_layer = [[] for _ in range(ckpt.config.n_layers + 1)]
     for (iid, _), seq in zip(items, seqs):
-        trace = model.forward(ckpt, seq)
+        trace = model.forward(ckpt, [seq], kv=[model.KVCache(ckpt.config, 1, len(seq))])
         for layer, h in enumerate(trace.hidden_states):
             vec = h[0].mean(axis=0)
             if not np.isfinite(vec).all():

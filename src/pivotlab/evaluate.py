@@ -165,6 +165,8 @@ def score(ckpt: model.Checkpoint, testset, cfg: GenConfig, vocab: corpus.Vocab,
     if not testset:
         raise EvalError("empty testset")
     by_id = {lang.id: lang for lang in languages}
+    if cot_lang is not None and cot_lang not in by_id:
+        raise EvalError(f"unknown trace language {cot_lang!r}")
     results = generate_batch(ckpt, [s.prompt for s in testset], [s.id for s in testset], cfg)
     records = []
     for s, res in zip(testset, results):

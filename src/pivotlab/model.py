@@ -191,20 +191,14 @@ class KVCache:
 @dataclass
 class ForwardTrace:
     logits: np.ndarray          # (B, T, V)
-    hidden: list                # this trace's own hidden states; a split batch keeps none
     tokens: np.ndarray          # (B, T)
-    caches: list                # per layer, only what backward cannot cheaply rebuild: no norm
-    final_cache: dict           # output and no MLP activation; backward consumes both
     checkpoint: Checkpoint      # the producer, whose parameters backward differentiates
+    # Training only: per layer, then for the final norm, only what backward cannot cheaply
+    # rebuild (no norm output, no MLP activation); backward consumes them.
+    caches: list = field(default_factory=list)
+    # Inference only: n_layers + 1 arrays of (B, T, d), [0] = embeddings.
+    hidden_states: list = field(default_factory=list)
     halves: list = field(default_factory=list)  # a split batch's two row-half traces
-
-    @property
-    def hidden_states(self) -> list:
-        """n_layers + 1 arrays of (B, T, d), [0] = embeddings; a split batch joins its
-        halves' on each read, so training, which never reads them, never joins them."""
-        if not self.halves:
-            return self.hidden
-        return [np.concatenate(hs) for hs in zip(*(h.hidden for h in self.halves))]
 
 
 # These kernels write into arrays they own, but run the floating-point operations of
@@ -307,16 +301,16 @@ def _attend(q, k, v, scale, mask):
 def forward(ckpt: Checkpoint, tokens, kv: list | None = None) -> ForwardTrace:
     """Causal forward pass. Accepts a single id sequence or a (B, T) batch.
 
-    Without `kv` the trace keeps what `backward` needs, and B >= 2 rows run as
-    two fixed row halves, [:ceil(B/2)] and [ceil(B/2):], on two threads; the
-    trace concatenates their logits and keeps each half's trace in `halves`.
+    Without `kv` the trace keeps what `backward` needs and no hidden states, and
+    B >= 2 rows run as two fixed row halves, [:ceil(B/2)] and [ceil(B/2):], on two
+    threads; the trace concatenates their logits and keeps each half's trace in `halves`.
 
     With `kv`, a list of KVCache whose rows, in order, are the B rows, the call
     is one decoding step: each cache's rows are its positions filled..filled+T-1,
     attend to that cache's prefix and append their keys and values to it. The
     position-wise work runs once over all B rows, the attention once per cache.
-    Its trace covers the new positions only and keeps nothing, as backward
-    cannot cross a cached prefix.
+    Its trace covers the new positions only and keeps their hidden states and no
+    caches, as backward cannot cross a cached prefix.
     """
     cfg = ckpt.config
     tok = np.asarray(tokens, dtype=np.int64)
@@ -343,14 +337,14 @@ def forward(ckpt: Checkpoint, tokens, kv: list | None = None) -> ForwardTrace:
         futures = [_POOL.submit(_forward_rows, ckpt, rows, None) for rows in (tok[:mid], tok[mid:])]
         wait(futures)  # a half that raises must not leave the other running past the call
         halves = [f.result() for f in futures]
-        return ForwardTrace(
-            logits=np.concatenate([h.logits for h in halves]), hidden=[],
-            tokens=tok, caches=[], final_cache={}, checkpoint=ckpt, halves=halves)
+        return ForwardTrace(logits=np.concatenate([h.logits for h in halves]), tokens=tok,
+                            checkpoint=ckpt, halves=halves)
     return _forward_rows(ckpt, tok, kv)
 
 
 def _forward_rows(ckpt: Checkpoint, tok, kv) -> ForwardTrace:
-    """The layer loop over a validated (B, T) batch; it keeps activations unless `kv` is set."""
+    """The layer loop over a validated (B, T) batch: its trace keeps backward's caches
+    without `kv`, and the hidden states with it."""
     cfg, p = ckpt.config, ckpt.params
     t = tok.shape[1]
     dt = cfg.np_dtype()
@@ -362,8 +356,7 @@ def _forward_rows(ckpt: Checkpoint, tok, kv) -> ForwardTrace:
 
     h = p["emb"][tok]
     h += p["pos"][starts + np.arange(t)]
-    hidden = [h]
-    caches = []
+    hidden, caches = [] if kv is None else [h], []
     for i in range(cfg.n_layers):
         lp = f"L{i}."
         a, xhat1, inv1 = _layernorm_forward(h, p[lp + "norm1"])
@@ -386,16 +379,18 @@ def _forward_rows(ckpt: Checkpoint, tok, kv) -> ForwardTrace:
         g, _ = _gelu(m_in @ p[lp + "mlp_up"], False)
         h = g @ p[lp + "mlp_down"]
         h += h_mid
-        hidden.append(h)
         if kv is None:
             caches.append(dict(xhat1=xhat1, inv1=inv1, q=q, k=k, v=v, att=att, ctx=ctx,
                                xhat2=xhat2, inv2=inv2))
+        else:
+            hidden.append(h)
     for c in kv or ():
         c.filled += t
     f, xhat_f, inv_f = _layernorm_forward(h, p["final_norm"])
-    final_cache = {"xhat_f": xhat_f, "inv_f": inv_f} if kv is None else {}
-    return ForwardTrace(logits=f @ p["head"], hidden=hidden, tokens=tok,
-                        caches=caches, final_cache=final_cache, checkpoint=ckpt)
+    if kv is None:
+        caches.append({"xhat_f": xhat_f, "inv_f": inv_f})
+    return ForwardTrace(logits=f @ p["head"], tokens=tok, checkpoint=ckpt,
+                        caches=caches, hidden_states=hidden)
 
 
 def backward(trace: ForwardTrace, dlogits) -> dict:
@@ -422,7 +417,7 @@ def _backward(trace: ForwardTrace, dl) -> dict:
     b, t = tok.shape
     scale = cfg.head_dim ** -0.5
     caches, trace.caches = trace.caches, []  # the trace is consumed, even if this call fails
-    fc, trace.final_cache = trace.final_cache, {}
+    fc = caches.pop()  # the final norm's, after the layers'
 
     grads = {"head": _outer(_norm_out(fc["xhat_f"], p["final_norm"]), dl)}
     dh, grads["final_norm"] = _layernorm_backward(dl @ p["head"].T, p["final_norm"],

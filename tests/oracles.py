@@ -3,7 +3,8 @@
 `generate` decodes one prompt by running the full prefix through
 `model.forward` for every new token, with no key/value cache and no
 batching; `candidate_set` and `_pick` choose its tokens one row at a time.
-`embed` pools hidden states one item at a time on top of it.
+`embed` pools the hidden states of the plain `forward` below one item at a
+time, after a trace from `generate` for QUESTION_PLUS_COT.
 `extract_answer` reads a decode's answer in steps: no separator, an empty
 segment, an unknown id, the phrase prefix, then exactly one number after it;
 `corpus.answer_value` on the detokenised answer segment must agree with it.
@@ -11,7 +12,9 @@ segment, an unknown id, the phrase prefix, then exactly one number after it;
 `forward` and `backward` are the model maths written plainly, every
 intermediate in a fresh array. They run the same floating-point operations
 in the same order as `model.forward`/`model.backward`, including the split
-of a batch into two row halves, so the two must agree bit for bit.
+of a batch into two row halves, so the two must agree bit for bit: in the
+logits and gradients of a training forward, and in the hidden states of an
+inference forward, which a training trace does not keep.
 
 `segment_labels` spells out a sample's per-token segment labels from its
 three segment token counts, and `pad_batch` right-pads a batch with plain
@@ -139,8 +142,8 @@ def embed(ckpt: model.Checkpoint, items: list, layer: int, scope: str,
         seq = tokens
         if scope == "QUESTION_PLUS_COT":
             seq = _with_trace(ckpt, tokens, max_new_tokens)
-        trace = model.forward(ckpt, seq)
-        vectors.append((iid, trace.hidden_states[layer][0].mean(axis=0)))
+        _, hidden = forward(ckpt, [seq])
+        vectors.append((iid, hidden[layer][0].mean(axis=0)))
     return vectors
 
 

@@ -65,7 +65,7 @@ class TestEmbed:
                 assert len(got) == len(want)
                 for (gi, gv), (wi, wv) in zip(got, want):
                     assert gi == wi
-                    assert np.allclose(gv, wv, rtol=0, atol=1e-10)
+                    assert np.array_equal(gv, wv)
 
 
 class TestRetrievalAccuracy:

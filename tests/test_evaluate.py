@@ -441,6 +441,18 @@ class TestScore:
         with pytest.raises(evaluate.EvalError):
             evaluate.score(tiny_ckpt, [], evaluate.GenConfig(), vocab, languages, "PIVOT")
 
+    def test_unknown_trace_language_rejected_before_decoding(self, tiny_ckpt, vocab, languages,
+                                                             monkeypatch):
+        samples = [corpus.make_sample(corpus.gen_problem(0, max_steps=1), "NATIVE", "u-000",
+                                      vocab, languages)]
+
+        def no_decode(*args):
+            raise AssertionError("decoded before the trace language was checked")
+
+        monkeypatch.setattr(evaluate, "generate_batch", no_decode)
+        with pytest.raises(evaluate.EvalError, match="FRENCH"):
+            evaluate.score(tiny_ckpt, samples, evaluate.GenConfig(), vocab, languages, "FRENCH")
+
 
 class TestCorrectionMatrix:
     def rec(self, rid, correct):

@@ -159,8 +159,9 @@ class TestMatchesOracle:
         trace = model.forward(ckpt, tokens)
         logits, hidden = oracles.forward(ckpt, tokens)
         assert np.array_equal(trace.logits, logits)
-        assert len(trace.hidden_states) == len(hidden)
-        for got, want in zip(trace.hidden_states, hidden):
+        prefill = model.forward(ckpt, tokens, kv=[model.KVCache(ckpt.config, b, t)])
+        assert len(prefill.hidden_states) == len(hidden)
+        for got, want in zip(prefill.hidden_states, hidden):
             assert np.array_equal(got, want)
         grads = model.backward(trace, dlogits)
         want = oracles.backward(ckpt, tokens, dlogits)
@@ -195,7 +196,10 @@ class TestForward:
         assert t1.logits.shape == (1, 3, tiny_config.vocab_size)
         t2 = model.forward(tiny_ckpt, np.array([[1, 2, 3], [4, 5, 6]]))
         assert t2.logits.shape == (2, 3, tiny_config.vocab_size)
-        assert len(t2.hidden_states) == tiny_config.n_layers + 1
+        assert t2.hidden_states == [] and all(h.hidden_states == [] for h in t2.halves)
+        t3 = model.forward(tiny_ckpt, np.array([[1, 2, 3], [4, 5, 6]]),
+                           kv=[model.KVCache(tiny_config, 2, 3)])
+        assert len(t3.hidden_states) == tiny_config.n_layers + 1
 
     def test_batched_matches_single(self, tiny_ckpt):
         rows = [[1, 2, 3, 4], [5, 6, 7, 8]]
@@ -262,11 +266,11 @@ class TestKVCache:
         t = sum(self.CHUNKS)
         for b in batch_sizes:
             tokens = rng.integers(0, ckpt.config.vocab_size, size=(b, t))
-            full = model.forward(ckpt, tokens)
+            full_logits, full_hidden = oracles.forward(ckpt, tokens)
             logits, hidden = incremental_forward(ckpt, tokens, self.CHUNKS)
-            assert np.max(np.abs(logits - full.logits)) <= tol
-            assert len(hidden) == len(full.hidden_states)
-            for got, want in zip(hidden, full.hidden_states):
+            assert np.max(np.abs(logits - full_logits)) <= tol
+            assert len(hidden) == len(full_hidden)
+            for got, want in zip(hidden, full_hidden):
                 assert np.max(np.abs(got - want)) <= tol
 
     def test_incremental_matches_full_float64(self, tiny_ckpt):
@@ -311,7 +315,7 @@ class TestKVCache:
         cache = model.KVCache(tiny_ckpt.config, 2, 4)
         for feed in ([[1, 2, 3], [4, 5, 6]], [[7], [8]]):
             trace = model.forward(tiny_ckpt, feed, kv=[cache])
-            assert trace.caches == [] and trace.final_cache == {}
+            assert trace.caches == []
             with pytest.raises(model.ModelError):
                 model.backward(trace, np.ones_like(trace.logits))
 
@@ -411,7 +415,7 @@ class TestBackward:
         dlogits = np.ones_like(trace.logits)
         model.backward(trace, dlogits)
         for t in (trace, *trace.halves):
-            assert t.caches == [] and t.final_cache == {}
+            assert t.caches == []
         with pytest.raises(model.ModelError, match="decoding step keeps none.*consumes them"):
             model.backward(trace, dlogits)
 
@@ -447,12 +451,16 @@ class TestBatchSplit:
         dlogits = rng.normal(size=(b, 7, tiny_ckpt.config.vocab_size))
         trace = model.forward(tiny_ckpt, tokens)
         grads = model.backward(trace, dlogits)
+        cfg = tiny_ckpt.config
+        hidden = model.forward(tiny_ckpt, tokens, kv=[model.KVCache(cfg, b, 7)]).hidden_states
         want = {path: np.zeros_like(v) for path, v in tiny_ckpt.params.items()}
         for i in range(b):
             single = model.forward(tiny_ckpt, tokens[i])
             assert not single.halves
             assert np.max(np.abs(trace.logits[i] - single.logits[0])) <= 1e-12
-            for got, h in zip(trace.hidden_states, single.hidden_states, strict=True):
+            single_hidden = model.forward(tiny_ckpt, tokens[i],
+                                          kv=[model.KVCache(cfg, 1, 7)]).hidden_states
+            for got, h in zip(hidden, single_hidden, strict=True):
                 assert np.max(np.abs(got[i] - h[0])) <= 1e-12
             for path, g in model.backward(single, dlogits[i:i + 1]).items():
                 want[path] += g
@@ -471,14 +479,17 @@ class TestBatchSplit:
 
     def test_halves_cache_no_mlp_activation(self, vocab):
         """A training half caches per layer the norms' inputs and the attention's arrays,
-        and nothing d_ff wide: backward rebuilds the MLP's input and its activation."""
+        then the final norm's, and nothing d_ff wide: backward rebuilds the MLP's input
+        and its activation."""
         cfg = model.ModelConfig(vocab_size=len(vocab))
         trace = model.forward(model.init(cfg), np.ones((4, 9), dtype=np.int64))
         assert len(trace.halves) == 2
         for h in trace.halves:
-            assert len(h.caches) == cfg.n_layers
-            for c in h.caches:
+            assert len(h.caches) == cfg.n_layers + 1
+            for c in h.caches[:-1]:
                 assert set(c) == {"xhat1", "inv1", "q", "k", "v", "att", "ctx", "xhat2", "inv2"}
+            assert set(h.caches[-1]) == {"xhat_f", "inv_f"}
+            for c in h.caches:
                 assert all(a.shape[-1] != cfg.d_ff for a in c.values())
 
     def test_both_halves_end_before_backward_raises(self, tiny_ckpt):
