@@ -184,6 +184,14 @@ def _require(path: str) -> str:
     return path
 
 
+def _make_dir(path: str) -> str:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:  # a file stands in its way
+        raise CliError(f"cannot make output directory {path}: {exc}", EXIT_BAD_CONFIG) from exc
+    return path
+
+
 def _load_checkpoint(path: str) -> model.Checkpoint:
     """A checkpoint whose token ids are this vocabulary's; another vocabulary's is bad data."""
     ckpt = model.load(_require(path))
@@ -445,8 +453,7 @@ def cmd_reproduce(args, cfg: dict, out: str) -> None:
     _save(corpus.Vocab.save, VOCAB, os.path.join(out, "vocab.json"), cfg)
     outcomes = []
     for seed in seeds:
-        seed_dir = os.path.join(out, f"seed{seed}")
-        os.makedirs(seed_dir, exist_ok=True)
+        seed_dir = _make_dir(os.path.join(out, f"seed{seed}"))
         outcomes.append(_run_seed({**cfg, "seed": seed}, seed_dir))
     combined = {
         "seeds": seeds,
@@ -515,8 +522,7 @@ def main(argv=None) -> int:
         try:
             args = build_parser().parse_args(argv)
             cfg = load_config(args.config, args.seed)
-            os.makedirs(args.out, exist_ok=True)
-            args.fn(args, cfg, args.out)
+            args.fn(args, cfg, _make_dir(args.out))
             return EXIT_OK
         except Exception as exc:
             code = _exit_code(exc)

@@ -33,8 +33,8 @@ _GELU_A = 0.044715
 
 CHECKPOINT_MAGIC = "pivotlab-checkpoint-v3"
 
-# The two threads of a split batch: they start on first use and then stay. Its
-# tasks never submit to it, so callers in several threads cannot deadlock it.
+# The two threads of a training batch's row parts: they start on first use and then
+# stay. Its tasks never submit to it, so callers in several threads cannot deadlock it.
 _POOL = ThreadPoolExecutor(2)
 
 
@@ -193,12 +193,11 @@ class ForwardTrace:
     logits: np.ndarray          # (B, T, V)
     tokens: np.ndarray          # (B, T)
     checkpoint: Checkpoint      # the producer, whose parameters backward differentiates
-    # Training only: per layer, then for the final norm, only what backward cannot cheaply
-    # rebuild (no norm output, no MLP activation); backward consumes them.
+    # Training only: per row part (`_parts`), per layer then for the final norm, only what
+    # backward cannot cheaply rebuild (no norm output, MLP activation or att @ v); it consumes them.
     caches: list = field(default_factory=list)
     # Inference only: n_layers + 1 arrays of (B, T, d), [0] = embeddings.
     hidden_states: list = field(default_factory=list)
-    halves: list = field(default_factory=list)  # a split batch's two row-half traces
 
 
 # These kernels write into arrays they own, but run the floating-point operations of
@@ -298,12 +297,25 @@ def _attend(q, k, v, scale, mask):
     return att, att @ v
 
 
+def _parts(b: int) -> list:
+    """The fixed row parts of a training batch of b rows: [:ceil(b/2)] and [ceil(b/2):],
+    or the single row. They depend only on the shape, so the bits do too."""
+    mid = (b + 1) // 2
+    return [slice(0, mid), slice(mid, b)] if b > 1 else [slice(0, 1)]
+
+
+def _on_pool(fn, calls) -> list:
+    futures = [_POOL.submit(fn, *args) for args in calls]  # numpy releases the GIL: they overlap
+    wait(futures)  # a call's error is raised only once every call has ended
+    return [f.result() for f in futures]
+
+
 def forward(ckpt: Checkpoint, tokens, kv: list | None = None) -> ForwardTrace:
     """Causal forward pass. Accepts a single id sequence or a (B, T) batch.
 
-    Without `kv` the trace keeps what `backward` needs and no hidden states, and
-    B >= 2 rows run as two fixed row halves, [:ceil(B/2)] and [ceil(B/2):], on two
-    threads; the trace concatenates their logits and keeps each half's trace in `halves`.
+    Without `kv` it is a training forward: the batch's row parts (`_parts`) run on the
+    pool's two threads, and the trace keeps the parts' concatenated logits, one cache
+    list per part for `backward`, and no hidden states.
 
     With `kv`, a list of KVCache whose rows, in order, are the B rows, the call
     is one decoding step: each cache's rows are its positions filled..filled+T-1,
@@ -330,21 +342,16 @@ def forward(ckpt: Checkpoint, tokens, kv: list | None = None) -> ForwardTrace:
         raise ModelError(f"{t} more positions exceed a cache's capacity")
     if tok.min() < 0 or tok.max() >= cfg.vocab_size:
         raise ModelError("token id outside vocabulary")
-    if kv is None and b >= 2:
-        # Two fixed row halves on two threads; numpy releases the GIL in BLAS
-        # and ufuncs, so they overlap. The split depends only on the shape.
-        mid = (b + 1) // 2
-        futures = [_POOL.submit(_forward_rows, ckpt, rows, None) for rows in (tok[:mid], tok[mid:])]
-        wait(futures)  # a half that raises must not leave the other running past the call
-        halves = [f.result() for f in futures]
-        return ForwardTrace(logits=np.concatenate([h.logits for h in halves]), tokens=tok,
-                            checkpoint=ckpt, halves=halves)
-    return _forward_rows(ckpt, tok, kv)
+    if kv is None:
+        logits, caches = zip(*_on_pool(_forward_rows, [(ckpt, tok[r], None) for r in _parts(b)]))
+        return ForwardTrace(np.concatenate(logits), tok, ckpt, caches=list(caches))
+    logits, hidden = _forward_rows(ckpt, tok, kv)
+    return ForwardTrace(logits, tok, ckpt, hidden_states=hidden)
 
 
-def _forward_rows(ckpt: Checkpoint, tok, kv) -> ForwardTrace:
-    """The layer loop over a validated (B, T) batch: its trace keeps backward's caches
-    without `kv`, and the hidden states with it."""
+def _forward_rows(ckpt: Checkpoint, tok, kv) -> tuple:
+    """The layer loop over a validated (B, T) batch: its logits and what it keeps, the
+    backward's caches without `kv` and the hidden states with it."""
     cfg, p = ckpt.config, ckpt.params
     t = tok.shape[1]
     dt = cfg.np_dtype()
@@ -356,7 +363,7 @@ def _forward_rows(ckpt: Checkpoint, tok, kv) -> ForwardTrace:
 
     h = p["emb"][tok]
     h += p["pos"][starts + np.arange(t)]
-    hidden, caches = [] if kv is None else [h], []
+    kept = [] if kv is None else [h]
     for i in range(cfg.n_layers):
         lp = f"L{i}."
         a, xhat1, inv1 = _layernorm_forward(h, p[lp + "norm1"])
@@ -379,44 +386,36 @@ def _forward_rows(ckpt: Checkpoint, tok, kv) -> ForwardTrace:
         g, _ = _gelu(m_in @ p[lp + "mlp_up"], False)
         h = g @ p[lp + "mlp_down"]
         h += h_mid
-        if kv is None:
-            caches.append(dict(xhat1=xhat1, inv1=inv1, q=q, k=k, v=v, att=att, ctx=ctx,
-                               xhat2=xhat2, inv2=inv2))
-        else:
-            hidden.append(h)
+        kept.append(dict(xhat1=xhat1, inv1=inv1, q=q, k=k, v=v, att=att, xhat2=xhat2,
+                         inv2=inv2) if kv is None else h)
     for c in kv or ():
         c.filled += t
     f, xhat_f, inv_f = _layernorm_forward(h, p["final_norm"])
     if kv is None:
-        caches.append({"xhat_f": xhat_f, "inv_f": inv_f})
-    return ForwardTrace(logits=f @ p["head"], tokens=tok, checkpoint=ckpt,
-                        caches=caches, hidden_states=hidden)
+        kept.append({"xhat_f": xhat_f, "inv_f": inv_f})
+    return f @ p["head"], kept
 
 
 def backward(trace: ForwardTrace, dlogits) -> dict:
-    """Exact gradients of a scalar loss for `trace.checkpoint`, given d(loss)/d(logits). It
-    consumes the trace's caches, freeing each activation at its last use: call it once."""
+    """Exact gradients of a scalar loss for `trace.checkpoint`, given d(loss)/d(logits):
+    each row part's on the pool, then part 0 + part 1 per path. It consumes the trace's
+    caches, freeing each activation at its last use: call it once."""
+    part_caches, trace.caches = trace.caches, []  # the trace is consumed, even if this call fails
     dl = np.asarray(dlogits, dtype=trace.checkpoint.config.np_dtype())
     if dl.shape != trace.logits.shape:
         raise ModelError("dlogits shape mismatch with trace logits")
-    if not trace.halves:
-        return _backward(trace, dl)
-    mid = trace.halves[0].tokens.shape[0]
-    futures = [_POOL.submit(_backward, *a) for a in zip(trace.halves, (dl[:mid], dl[mid:]))]
-    wait(futures)  # as in forward: a half's error is raised only once the other has ended
-    g0, g1 = (f.result() for f in futures)
-    return {path: g0[path] + g1[path] for path in g0}
-
-
-def _backward(trace: ForwardTrace, dl) -> dict:
-    if not trace.caches:
+    if not part_caches:
         raise ModelError("trace has no cached activations: a decoding step keeps none, "
                          "and backward consumes them")
-    cfg, p = trace.checkpoint.config, trace.checkpoint.params
-    tok = trace.tokens
+    g0, *rest = _on_pool(_backward, [(trace.checkpoint, trace.tokens[r], caches, dl[r])
+                                     for r, caches in zip(_parts(len(dl)), part_caches)])
+    return {path: sum((g[path] for g in rest), g0[path]) for path in g0}
+
+
+def _backward(ckpt: Checkpoint, tok, caches: list, dl) -> dict:  # a row part's; empties caches
+    cfg, p = ckpt.config, ckpt.params
     b, t = tok.shape
     scale = cfg.head_dim ** -0.5
-    caches, trace.caches = trace.caches, []  # the trace is consumed, even if this call fails
     fc = caches.pop()  # the final norm's, after the layers'
 
     grads = {"head": _outer(_norm_out(fc["xhat_f"], p["final_norm"]), dl)}
@@ -440,8 +439,8 @@ def _backward(trace: ForwardTrace, dl) -> dict:
         dx_ln, grads[lp + "norm2"] = _layernorm_backward(du, p[lp + "norm2"],
                                                          c.pop("xhat2"), c.pop("inv2"))
         dh += dx_ln
-        # attention branch
-        grads[lp + "att_o"] = _outer(c.pop("ctx"), dh)
+        # attention branch; its output is the forward's own product on the same two arrays
+        grads[lp + "att_o"] = _outer(_merge_heads(c["att"] @ c["v"]), dh)
         dctx = _split_heads(dh @ p[lp + "att_o"].T, cfg.n_heads)
         ds = dctx @ c.pop("v").transpose(0, 1, 3, 2)
         dv = c["att"].transpose(0, 1, 3, 2) @ dctx

@@ -1,8 +1,9 @@
 """The benchmark's calls into pivotlab.
 
 perfbench/child.py builds each workload's inputs with corpus and model
-functions, and its tracer reads the decode results of `evaluate`. A change
-to a signature or a result field that they use breaks the benchmark; these
+functions, and its tracer reads the decode results of `evaluate` and the
+training calls of `train` and `model`. A change to a signature, a result
+field or a calling thread that they rely on breaks the benchmark; these
 tests run those calls as the benchmark does, on seed 1.
 """
 
@@ -41,3 +42,20 @@ def test_traced_decode_ends_every_item(tmp_path):
            *workloads.cli_args("decode", 1, str(inputs), str(tmp_path / "out")))
     counts = spans.layer_metrics(spans.load_spans(str(trace)))
     assert sum(counts[f"evaluate.terminated.{t}"] for t in spans.TERMINATIONS) == 200
+
+
+def test_traced_train_runs_every_forward_as_training(tmp_path):
+    """The tracer keeps one span stack for one thread: each `model.forward` span finds
+    `train.train` as its parent only while forward stays on the caller's thread and
+    runs its row parts on the pool."""
+    inputs, trace = tmp_path / "inputs", tmp_path / "op.spans.json"
+    _child("setup", "train", "1", str(inputs))
+    _child("--spans", str(trace), "cli", "--",
+           *workloads.cli_args("train", 1, str(inputs), str(tmp_path / "out")))
+    recorded = spans.load_spans(str(trace))
+    counts = spans.layer_metrics(recorded)
+    want = json.loads((inputs / "inputs.json").read_text())
+    assert (want["steps"], want["tokens"]) == (34, 55510)
+    assert (counts["train.steps"], counts["train.tokens"]) == (want["steps"], want["tokens"])
+    roles = [s.attrs["role"] for s in recorded if s.name == "model.forward"]
+    assert roles == ["train"] * want["steps"]

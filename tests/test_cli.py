@@ -335,6 +335,30 @@ class TestUsageErrors:
         assert proc.stdout and not proc.stderr
 
 
+class TestOutputDirectory:
+    """A file where an output directory should go is a command-line error: exit 3 and
+    one error line, not a traceback."""
+
+    @staticmethod
+    def refused(argv, capsys):
+        assert cli.main(argv) == cli.EXIT_BAD_CONFIG
+        error = _error_line(capsys)
+        assert error["exit_code"] == cli.EXIT_BAD_CONFIG and "trace" not in error
+
+    @pytest.mark.parametrize("below", [False, True], ids=["a_file", "below_a_file"])
+    def test_out_is_a_file_or_below_one(self, tmp_path, capsys, below):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        self.refused(["gen-data", "--out", str(afile / "sub" if below else afile)], capsys)
+
+    def test_reproduce_seed_directory_is_a_file(self, tmp_path, cfg_path, capsys):
+        out = tmp_path / "repro"
+        out.mkdir()
+        (out / "seed5").write_text("")
+        self.refused(["reproduce", "--config", cfg_path, "--seed", "5", "--out", str(out)],
+                     capsys)
+
+
 # Each command that reads a checkpoint, with the flags it needs besides the checkpoint.
 CHECKPOINT_COMMANDS = {
     "eval": lambda ckpt, data: ["eval", "--ckpt", ckpt, "--testset", data],

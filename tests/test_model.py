@@ -196,7 +196,7 @@ class TestForward:
         assert t1.logits.shape == (1, 3, tiny_config.vocab_size)
         t2 = model.forward(tiny_ckpt, np.array([[1, 2, 3], [4, 5, 6]]))
         assert t2.logits.shape == (2, 3, tiny_config.vocab_size)
-        assert t2.hidden_states == [] and all(h.hidden_states == [] for h in t2.halves)
+        assert t2.hidden_states == []
         t3 = model.forward(tiny_ckpt, np.array([[1, 2, 3], [4, 5, 6]]),
                            kv=[model.KVCache(tiny_config, 2, 3)])
         assert len(t3.hidden_states) == tiny_config.n_layers + 1
@@ -408,16 +408,21 @@ class TestBackward:
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_backward_consumes_the_trace(self, tiny_ckpt, rows):
-        """After backward neither the trace nor a half holds a cache, and a second
-        backward is refused with the error a decoding step gets."""
+        """After backward the trace holds no part's cache, and a second backward is
+        refused with the error a decoding step gets."""
         trace = model.forward(tiny_ckpt, [[1, 2, 3, 4]] * rows)
-        assert len(trace.halves) == (2 if rows > 1 else 0)
+        assert len(trace.caches) == (2 if rows > 1 else 1)
         dlogits = np.ones_like(trace.logits)
         model.backward(trace, dlogits)
-        for t in (trace, *trace.halves):
-            assert t.caches == []
+        assert trace.caches == []
         with pytest.raises(model.ModelError, match="decoding step keeps none.*consumes them"):
             model.backward(trace, dlogits)
+
+    def test_a_failed_backward_consumes_the_trace(self, tiny_ckpt):
+        trace = model.forward(tiny_ckpt, [[1, 2, 3]] * 2)
+        with pytest.raises(model.ModelError, match="shape mismatch"):
+            model.backward(trace, np.ones((1, 3, tiny_ckpt.config.vocab_size)))
+        assert trace.caches == []
 
     def test_suffix_padding_grads_vanish(self, tiny_ckpt):
         """Zero dlogits at pad positions => grads identical to the unpadded run."""
@@ -442,7 +447,8 @@ class TestBackward:
 
 
 class TestBatchSplit:
-    """A forward without `kv` of B >= 2 rows runs as two row halves on two threads."""
+    """A forward without `kv` runs a batch's row parts on two threads: two row halves
+    for B >= 2, the one row for B = 1."""
 
     @pytest.mark.parametrize("b", [2, 5])
     def test_matches_sum_of_single_rows(self, tiny_ckpt, b):
@@ -456,7 +462,7 @@ class TestBatchSplit:
         want = {path: np.zeros_like(v) for path, v in tiny_ckpt.params.items()}
         for i in range(b):
             single = model.forward(tiny_ckpt, tokens[i])
-            assert not single.halves
+            assert len(single.caches) == 1
             assert np.max(np.abs(trace.logits[i] - single.logits[0])) <= 1e-12
             single_hidden = model.forward(tiny_ckpt, tokens[i],
                                           kv=[model.KVCache(cfg, 1, 7)]).hidden_states
@@ -470,35 +476,37 @@ class TestBatchSplit:
 
     def test_split_point_is_fixed_by_batch_size(self, tiny_ckpt):
         rows = np.arange(5 * 4).reshape(5, 4) % tiny_ckpt.config.vocab_size
-        trace = model.forward(tiny_ckpt, rows)
-        assert [h.tokens.tolist() for h in trace.halves] == [rows[:3].tolist(), rows[3:].tolist()]
-        assert trace.caches == [] and all(h.caches for h in trace.halves)
-        assert model.forward(tiny_ckpt, rows[:1]).halves == []
+
+        def part_rows(trace):
+            return [len(part[-1]["xhat_f"]) for part in trace.caches]
+
+        assert part_rows(model.forward(tiny_ckpt, rows)) == [3, 2]
+        assert part_rows(model.forward(tiny_ckpt, rows[:1])) == [1]
         cache = model.KVCache(tiny_ckpt.config, 5, 4)
-        assert model.forward(tiny_ckpt, rows, kv=[cache]).halves == []
+        assert model.forward(tiny_ckpt, rows, kv=[cache]).caches == []
 
     def test_halves_cache_no_mlp_activation(self, vocab):
-        """A training half caches per layer the norms' inputs and the attention's arrays,
-        then the final norm's, and nothing d_ff wide: backward rebuilds the MLP's input
-        and its activation."""
+        """A training part caches per layer the norms' inputs and the attention's arrays
+        but not its output, then the final norm's, and nothing d_ff wide: backward
+        rebuilds the attention output, the MLP's input and its activation."""
         cfg = model.ModelConfig(vocab_size=len(vocab))
         trace = model.forward(model.init(cfg), np.ones((4, 9), dtype=np.int64))
-        assert len(trace.halves) == 2
-        for h in trace.halves:
-            assert len(h.caches) == cfg.n_layers + 1
-            for c in h.caches[:-1]:
-                assert set(c) == {"xhat1", "inv1", "q", "k", "v", "att", "ctx", "xhat2", "inv2"}
-            assert set(h.caches[-1]) == {"xhat_f", "inv_f"}
-            for c in h.caches:
+        assert len(trace.caches) == 2
+        for part in trace.caches:
+            assert len(part) == cfg.n_layers + 1
+            for c in part[:-1]:
+                assert set(c) == {"xhat1", "inv1", "q", "k", "v", "att", "xhat2", "inv2"}
+            assert set(part[-1]) == {"xhat_f", "inv_f"}
+            for c in part:
                 assert all(a.shape[-1] != cfg.d_ff for a in c.values())
 
     def test_both_halves_end_before_backward_raises(self, tiny_ckpt):
         """As in forward, a half's error is raised only once the other half has ended."""
         trace = model.forward(tiny_ckpt, [[1, 2, 3]] * 4)
-        ended = threading.Event()
+        first, ended = trace.caches[0], threading.Event()
 
-        def half(h, dl):
-            if h is trace.halves[0]:
+        def half(ckpt, tok, caches, dl):
+            if caches is first:
                 raise model.ModelError("half 0 failed")
             time.sleep(0.5)
             ended.set()
@@ -514,7 +522,7 @@ class TestBatchSplit:
         rng = np.random.default_rng(11)
         tokens = rng.integers(0, tiny_config.vocab_size, size=(3, 5))
         trace = model.forward(ckpt, tokens)
-        assert len(trace.halves) == 2
+        assert len(trace.caches) == 2
         dlogits = rng.normal(size=trace.logits.shape)
         grads = model.backward(trace, dlogits)
         fd = finite_difference_grads(ckpt, tokens, dlogits, model.param_paths(tiny_config))
