@@ -1,10 +1,11 @@
 """Synthetic bilingual multi-step arithmetic corpus.
 
 Two constructed languages with disjoint word lexicons stand in for a
-high-resource pivot language and a low-resource target language. Questions,
-chain-of-thought traces, and answers are rendered from the same underlying
-integer problems, so answer correctness and per-token language membership
-are exactly checkable.
+high-resource pivot language and a low-resource target language. A language is
+its lexicon, a plain dict of phrases; `default_languages` maps each language id
+("PIVOT", "TARGET") to its lexicon. Questions, chain-of-thought traces, and
+answers are rendered from the same underlying integer problems, so answer
+correctness and per-token language membership are exactly checkable.
 """
 
 from __future__ import annotations
@@ -49,21 +50,6 @@ DEFAULT_MAX_STEPS = 5
 
 _NUMBER_RE = re.compile(r"-?\d+")
 
-# Lexicon concepts every language must define. "question_template" arranges
-# the step list and the query phrase; the two languages use different orders.
-LEXICON_KEYS = (
-    "q_start",
-    "q_then",
-    "op_add",
-    "op_sub",
-    "op_mul",
-    "q_query",
-    "question_template",
-    "step_word",
-    "restate",
-    "answer_phrase",
-)
-
 
 class CorpusError(Exception):
     pass
@@ -90,35 +76,11 @@ class Problem:
     values: list  # the value after each step; the last is the answer
 
 
-@dataclass(frozen=True)
-class Language:
-    id: str  # "PIVOT" or "TARGET"
-    lexicon: dict
-
-    def __post_init__(self):
-        for key in LEXICON_KEYS:
-            if key not in self.lexicon:
-                raise CorpusError(f"language {self.id} missing lexicon entry {key!r}")
-
-    def words(self) -> set:
-        out = set()
-        for key in LEXICON_KEYS:
-            if key == "question_template":
-                continue
-            for w in self.lexicon[key].split():
-                if w not in PUNCT:
-                    out.add(w)
-        return out
-
-    def op_word(self, op: str) -> str:
-        return self.lexicon[f"op_{op.lower()}"]
-
-
-def default_languages() -> tuple:
-    """The shipped pivot/target language pair (disjoint word sets)."""
-    pivot = Language(
-        id="PIVOT",
-        lexicon={
+def default_languages() -> dict:
+    """The shipped lexicon of each language id: no word is in both, each has an "op_<op>"
+    entry per op in OPS, and their "question_template"s order the steps and query apart."""
+    return {
+        "PIVOT": {
             "q_start": "start with",
             "q_then": "then",
             "op_add": "add",
@@ -130,10 +92,7 @@ def default_languages() -> tuple:
             "restate": "so the result is",
             "answer_phrase": "the answer is",
         },
-    )
-    target = Language(
-        id="TARGET",
-        lexicon={
+        "TARGET": {
             "q_start": "zunto ka",
             "q_then": "rem",
             "op_add": "bexa",
@@ -145,11 +104,13 @@ def default_languages() -> tuple:
             "restate": "sato vasti den",
             "answer_phrase": "tena vasti den",
         },
-    )
-    overlap = pivot.words() & target.words()
-    if overlap:
-        raise CorpusError(f"languages share surface words: {sorted(overlap)}")
-    return pivot, target
+    }
+
+
+def words(lexicon: dict) -> set:
+    """The lexical words of a lexicon: those of every entry but the template, less PUNCT."""
+    return {w for key, text in lexicon.items() if key != "question_template"
+            for w in text.split() if w not in PUNCT}
 
 
 class Vocab:
@@ -205,9 +166,7 @@ class Vocab:
 
 
 def build_vocab(languages) -> Vocab:
-    lexical = set()
-    for lang in languages:
-        lexical |= lang.words()
+    lexical = set().union(*map(words, languages.values()))
     return Vocab({w: i for i, w in enumerate((*_LAYOUT, *sorted(lexical)))})
 
 
@@ -233,18 +192,18 @@ def gen_problem(rng_seed: int, max_steps: int = DEFAULT_MAX_STEPS,
     return Problem(start=start, steps=steps, values=values)
 
 
-def render(problem: Problem, segment: str, lang: Language) -> str:
-    lex = lang.lexicon
+def render(problem: Problem, segment: str, lex: dict) -> str:
     if segment == "QUESTION":
         parts = [lex["q_start"], str(problem.start)]
         for op, operand in problem.steps:
-            parts += [lex["q_then"], lang.op_word(op), str(operand)]
+            parts += [lex["q_then"], lex["op_" + op.lower()], str(operand)]
         return lex["question_template"].format(steps=" ".join(parts), query=lex["q_query"])
     if segment == "COT":
         lines = []
         v = problem.start
         for i, ((op, operand), nv) in enumerate(zip(problem.steps, problem.values)):
-            lines.append(f"{lex['step_word']} {i + 1} : {v} {lang.op_word(op)} {operand} = {nv} ;")
+            lines.append(f"{lex['step_word']} {i + 1} : {v} {lex['op_' + op.lower()]} {operand} "
+                         f"= {nv} ;")
             v = nv
         lines.append(f"{lex['restate']} {problem.values[-1]} ;")
         return " ".join(lines)
@@ -253,10 +212,10 @@ def render(problem: Problem, segment: str, lang: Language) -> str:
     raise CorpusError(f"unknown segment {segment!r}")
 
 
-def answer_value(text: str, lang: Language):
-    """The number of a text that is `lang`'s answer phrase and one number, else None."""
-    *words, number = text.split() or [""]
-    if words != lang.lexicon["answer_phrase"].split() or not _NUMBER_RE.fullmatch(number):
+def answer_value(text: str, lexicon: dict):
+    """The number of a text that is the lexicon's answer phrase and one number, else None."""
+    *phrase, number = text.split() or [""]
+    if phrase != lexicon["answer_phrase"].split() or not _NUMBER_RE.fullmatch(number):
         return None
     return int(number)
 
@@ -297,8 +256,7 @@ def _assemble(sid: str, regime: str, q: str, c: str, a: str, vocab: Vocab) -> Sa
 
 
 def make_sample(problem: Problem, regime: str, sid: str, vocab: Vocab, languages) -> Sample:
-    by_id = {lang.id: lang for lang in languages}
-    texts = [render(problem, seg, by_id[lang])
+    texts = [render(problem, seg, languages[lang])
              for seg, lang in zip(SEGMENTS, REGIME_LANGS[regime])]
     return _assemble(sid, regime, *texts, vocab)
 
@@ -348,12 +306,12 @@ def save_jsonl(samples, path: str) -> None:
 
 
 def load_jsonl(path: str, vocab: Vocab, languages) -> list:
-    """Samples of a JSONL file. A row is rejected unless its languages are its regime's,
-    each segment's lexical words are in its language, and `answer_value` reads its answer."""
-    by_id = {lang.id: lang for lang in languages}
+    """Samples of a JSONL file. A row is rejected unless its id is new, its languages are its
+    regime's, each segment's lexical words are in its language, and `answer_value` reads its
+    answer."""
     lexical = {w for w, i in vocab.word_to_id.items() if i >= FIRST_WORD}
-    foreign = {i: lexical - lang.words() for i, lang in by_id.items()}
-    samples = []
+    foreign = {lang: lexical - words(lex) for lang, lex in languages.items()}
+    samples = {}
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             if not line.strip():
@@ -364,6 +322,8 @@ def load_jsonl(path: str, vocab: Vocab, languages) -> list:
             sid, regime, q, c, a, *stored = row = [obj[k] for k in ROW_KEYS]
             if not all(isinstance(v, str) for v in row):
                 raise CorpusError(f"row {sid!r}: every field must be a string")
+            if sid in samples:
+                raise CorpusError(f"sample {sid}: the id repeats")
             if tuple(stored) != REGIME_LANGS.get(regime):
                 raise CorpusError(f"sample {sid}: languages {tuple(stored)} do not match "
                                   f"regime {regime!r}")
@@ -372,7 +332,7 @@ def load_jsonl(path: str, vocab: Vocab, languages) -> list:
                 stray = foreign[lang].intersection(text.split())
                 if stray:
                     raise CorpusError(f"sample {sid}: {seg} words {sorted(stray)} are not {lang}")
-            if answer_value(a, by_id[stored[2]]) is None:
+            if answer_value(a, languages[stored[2]]) is None:
                 raise CorpusError(f"sample {sid}: answer {a!r} is not a {stored[2]} answer")
-            samples.append(s)
-    return samples
+            samples[sid] = s
+    return list(samples.values())

@@ -144,12 +144,12 @@ def generate(ckpt: model.Checkpoint, prompt, cfg: GenConfig) -> GenerationResult
     return generate_batch(ckpt, [prompt], [""], cfg)[0]
 
 
-def conformance(cot_tokens, expected: corpus.Language, vocab: corpus.Vocab) -> float:
+def conformance(cot_tokens, expected: dict, vocab: corpus.Vocab) -> float:
     """Fraction of lexical trace tokens drawn from the expected lexicon."""
     word_ids = [t for t in cot_tokens if corpus.FIRST_WORD <= t < len(vocab)]
     if not word_ids:
         return 0.0
-    expected_words = expected.words()
+    expected_words = corpus.words(expected)
     hits = sum(1 for t in word_ids if vocab.id_to_word[t] in expected_words)
     return hits / len(word_ids)
 
@@ -164,22 +164,22 @@ def score(ckpt: model.Checkpoint, testset, cfg: GenConfig, vocab: corpus.Vocab,
     """
     if not testset:
         raise EvalError("empty testset")
-    by_id = {lang.id: lang for lang in languages}
-    if cot_lang is not None and cot_lang not in by_id:
+    if cot_lang is not None and cot_lang not in languages:
         raise EvalError(f"unknown trace language {cot_lang!r}")
     results = generate_batch(ckpt, [s.prompt for s in testset], [s.id for s in testset], cfg)
     records = []
     for s, res in zip(testset, results):
         _, trace_lang, answer_lang = s.langs
-        gold = corpus.answer_value(s.answer_text, by_id[answer_lang])
-        predicted = corpus.answer_value(vocab.detokenize(res.answer_segment), by_id[answer_lang])
+        gold = corpus.answer_value(s.answer_text, languages[answer_lang])
+        predicted = corpus.answer_value(vocab.detokenize(res.answer_segment),
+                                        languages[answer_lang])
         records.append({
             "id": s.id,
             "gold": gold,
             "predicted": predicted,
             "correct": bool(predicted is not None and predicted == gold),
             "terminated": res.terminated,
-            "conformance": conformance(res.cot_segment, by_id[cot_lang or trace_lang], vocab),
+            "conformance": conformance(res.cot_segment, languages[cot_lang or trace_lang], vocab),
             "regime": s.regime,
         })
     report = _summarize(records)

@@ -103,7 +103,7 @@ def generate(ckpt: model.Checkpoint, prompt, cfg: evaluate.GenConfig,
     return evaluate.GenerationResult(generated)
 
 
-def extract_answer(result: evaluate.GenerationResult, lang: corpus.Language, vocab: corpus.Vocab):
+def extract_answer(result: evaluate.GenerationResult, lang: dict, vocab: corpus.Vocab):
     """Signed integer parsed from the answer segment, or None."""
     if result.terminated == "SEPARATOR_MISSING" or not result.answer_segment:
         return None
@@ -112,7 +112,7 @@ def extract_answer(result: evaluate.GenerationResult, lang: corpus.Language, voc
     except corpus.UnknownWordError:
         return None
     words = text.split()
-    phrase = lang.lexicon["answer_phrase"].split()
+    phrase = lang["answer_phrase"].split()
     if words[: len(phrase)] != phrase:
         return None
     rest = words[len(phrase) :]

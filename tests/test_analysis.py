@@ -10,7 +10,7 @@ import oracles
 
 def paired_items(vocab, languages, n=6, seed=0):
     """(id, target question tokens, pivot question tokens) for shared problems."""
-    pivot, target = languages
+    pivot, target = languages["PIVOT"], languages["TARGET"]
     out = []
     for i in range(n):
         p = corpus.gen_problem(seed * 1000 + i, max_steps=2)

@@ -219,6 +219,23 @@ class TestGenData:
         assert meta["seed"] == 5
 
 
+@pytest.fixture
+def repeated_id_dataset(tmp_path, vocab, languages):
+    """Path of a two-row dataset whose rows, of different problems, share the id row-0."""
+    path = tmp_path / "repeated_id.jsonl"
+    corpus.save_jsonl([corpus.make_sample(corpus.gen_problem(i), "PIVOTED", "row-0", vocab,
+                                          languages) for i in (1, 2)], str(path))
+    return str(path)
+
+
+def _refused_as_bad_data(rc, capsys, out):
+    """Exit 5, one JSON stderr line with no traceback, and nothing under `out`."""
+    assert rc == cli.EXIT_BAD_DATA
+    error = _error_line(capsys)
+    assert error["exit_code"] == cli.EXIT_BAD_DATA and "trace" not in error
+    assert not out.exists() or not any(out.iterdir())
+
+
 class TestTrainCommand:
     def test_artifacts(self, workspace):
         assert os.path.exists(workspace["ckpt"])
@@ -243,6 +260,12 @@ class TestTrainCommand:
         rc = cli.main(["train", "--config", cfg_path, "--out", str(tmp_path / "t"),
                        "--data", str(bad)])
         assert rc == cli.EXIT_BAD_CONFIG
+
+    def test_repeated_sample_id(self, tmp_path, cfg_path, repeated_id_dataset, capsys):
+        out = tmp_path / "t"
+        rc = cli.main(["train", "--config", cfg_path, "--out", str(out),
+                       "--data", repeated_id_dataset])
+        _refused_as_bad_data(rc, capsys, out)
 
     def test_undecodable_dataset(self, tmp_path, cfg_path, capsys):
         # a dataset that is not UTF-8 exits 3, like a line that is not JSON
@@ -517,6 +540,13 @@ class TestEvalCommand:
         assert rc == cli.EXIT_BAD_DATA
         assert _error_line(capsys)["exit_code"] == cli.EXIT_BAD_DATA
 
+    def test_repeated_sample_id(self, tmp_path, cfg_path, repeated_id_dataset, capsys):
+        ckpt = _save_init_ckpt(tmp_path / "init.ckpt")
+        out = tmp_path / "e"
+        rc = cli.main(["eval", "--config", cfg_path, "--out", str(out), "--ckpt", ckpt,
+                       "--testset", repeated_id_dataset])
+        _refused_as_bad_data(rc, capsys, out)
+
     def test_malformed_row(self, tmp_path, cfg_path, malformed_dataset, capsys):
         rc = cli.main(["eval", "--config", cfg_path, "--out", str(tmp_path / "e"),
                        "--ckpt", _save_init_ckpt(tmp_path / "init.ckpt"),
@@ -580,8 +610,8 @@ class TestAnalysisCommands:
     def test_retrieval_pairs_honour_value_cap(self, vocab, languages):
         cfg = cli.load_config(None)
         cfg["corpus"]["value_cap"] = 10
-        pivot = languages[0]
-        ops = {pivot.op_word(op): op for op in corpus.OPS}
+        pivot = languages["PIVOT"]
+        ops = {pivot["op_" + op.lower()]: op for op in corpus.OPS}
         for _, _, pq in cli._paired_items(cfg, 64, seed=3):
             # "start with S then OP X ... then OP X . what is the result ?"
             words = vocab.detokenize(pq[1:]).split()

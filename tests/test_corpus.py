@@ -32,7 +32,7 @@ class TestProblem:
         steps = [("ADD", 4), ("MUL", 2), ("SUB", 5)]
         values = brute_force_eval(3, steps)
         assert values == [7, 14, 9]
-        pivot, _ = languages
+        pivot = languages["PIVOT"]
         p = corpus.Problem(start=3, steps=steps, values=values)
         assert corpus.render(p, "COT", pivot) == (
             "step 1 : 3 add 4 = 7 ; step 2 : 7 times 2 = 14 ; step 3 : 14 minus 5 = 9 ; "
@@ -67,25 +67,35 @@ class TestGenProblem:
 
 class TestLanguages:
     def test_disjoint_word_sets(self, languages):
-        pivot, target = languages
-        assert not (pivot.words() & target.words())
+        pivot, target = languages["PIVOT"], languages["TARGET"]
+        assert not (corpus.words(pivot) & corpus.words(target))
 
     def test_language_decidability(self, languages, vocab):
         # every lexical token belongs to exactly one language
-        pivot, target = languages
+        pivot, target = languages["PIVOT"], languages["TARGET"]
         for word, tid in vocab.word_to_id.items():
             if tid >= corpus.FIRST_WORD:
-                assert (word in pivot.words()) != (word in target.words())
+                assert (word in corpus.words(pivot)) != (word in corpus.words(target))
+
+    def test_lexicons_define_the_same_entries(self, languages):
+        """Both lexicons have one key set, an "op_<op>" entry for each op, and a question
+        template that takes the step list and the query and nothing else."""
+        pivot, target = languages["PIVOT"], languages["TARGET"]
+        assert set(pivot) == set(target)
+        for lex in (pivot, target):
+            assert all("op_" + op.lower() in lex for op in corpus.OPS)
+            question = lex["question_template"].format(steps="<steps>", query="<query>")
+            assert "<steps>" in question and "<query>" in question
 
 
 class TestRender:
     def test_answer_pivot(self, languages):
-        pivot, _ = languages
+        pivot = languages["PIVOT"]
         p = corpus.Problem(start=3, steps=[("ADD", 4)], values=[7])
         assert corpus.render(p, "ANSWER", pivot) == "the answer is 7"
 
     def test_answer_target_shares_digits(self, languages):
-        pivot, target = languages
+        pivot, target = languages["PIVOT"], languages["TARGET"]
         p = corpus.Problem(start=3, steps=[("ADD", 4)], values=[7])
         a_pivot = corpus.render(p, "ANSWER", pivot)
         a_target = corpus.render(p, "ANSWER", target)
@@ -93,14 +103,14 @@ class TestRender:
 
     def test_cot_line_count(self, languages):
         # line count = steps + restatement, over 100 generated problems
-        pivot, _ = languages
+        pivot = languages["PIVOT"]
         for seed in range(100):
             p = corpus.gen_problem(seed)
             lines = [l for l in corpus.render(p, "COT", pivot).split(";") if l.strip()]
             assert len(lines) == len(p.steps) + 1
 
     def test_question_injective(self, languages):
-        pivot, _ = languages
+        pivot = languages["PIVOT"]
         seen = {}
         for seed in range(500):
             p = corpus.gen_problem(seed)
@@ -110,10 +120,6 @@ class TestRender:
                 assert seen[q] == key
             seen[q] = key
         assert len(seen) == len({v for v in seen.values()})
-
-    def test_missing_lexicon_entry(self):
-        with pytest.raises(corpus.CorpusError, match="missing lexicon entry"):
-            corpus.Language(id="PIVOT", lexicon={"q_start": "go"})
 
 
 class TestTokenize:
@@ -131,7 +137,7 @@ class TestTokenize:
     def test_round_trip_generated_questions(self, vocab, languages):
         for seed in range(1000):
             p = corpus.gen_problem(seed)
-            lang = languages[seed % 2]
+            lang = languages[("PIVOT", "TARGET")[seed % 2]]
             for seg in ("QUESTION", "COT", "ANSWER"):
                 text = corpus.render(p, seg, lang)
                 assert vocab.detokenize(vocab.tokenize(text)) == text
@@ -151,7 +157,7 @@ class TestTokenize:
         assert vocab.word_to_id["-"] == corpus.SIGN == 14
         assert [vocab.word_to_id[p] for p in ".?:=;"] == list(range(15, 20))
         assert corpus.FIRST_WORD == 20
-        pivot, target = (lang.words() for lang in languages)
+        pivot, target = map(corpus.words, languages.values())
         words = [vocab.id_to_word[i] for i in range(corpus.FIRST_WORD, len(vocab))]
         assert all((w in pivot) != (w in target) for w in words)
         assert sorted(words) == sorted(pivot | target)
@@ -188,8 +194,8 @@ class TestBuildDataset:
 
     def test_pivoted_cot_tokens_in_pivot_lexicon(self, vocab, languages):
         # lexicon-membership scan over the built dataset
-        pivot, _ = languages
-        pivot_words = pivot.words()
+        pivot = languages["PIVOT"]
+        pivot_words = corpus.words(pivot)
         samples = corpus.build_dataset(50, 0.0, "PIVOTED", 11, vocab, languages)
         for s in samples:
             for tid in vocab.tokenize(s.cot_text):
@@ -216,7 +222,7 @@ class TestBuildDataset:
         last value."""
         problem = corpus.gen_problem(seed, max_steps, value_cap)
         s = corpus.make_sample(problem, regime, "a", vocab, languages)
-        answer_lang = next(lang for lang in languages if lang.id == s.langs[2])
+        answer_lang = languages[s.langs[2]]
         assert corpus.answer_value(s.answer_text, answer_lang) == problem.values[-1]
 
     def test_jsonl_round_trip_and_determinism(self, vocab, languages, tmp_path):
@@ -229,6 +235,18 @@ class TestBuildDataset:
         original = corpus.build_dataset(40, 1.0, "PIVOTED", 21, vocab, languages)
         assert [s.tokens for s in loaded] == [s.tokens for s in original]
         assert [boundary_labels(s) for s in loaded] == [boundary_labels(s) for s in original]
+
+    @pytest.mark.parametrize("regime, mix, digest", [
+        ("PIVOTED", 1.0, "9b3ddee1d40e0da829d0dce91846ac4b2366a26b94240616e64483f3dcaaabe1"),
+        ("NATIVE", 0.0, "f39b7fc2847257deb5223c564c420ed8bfa51f1f1fe83713091a63e8f35bad34"),
+        ("PIVOT_ONLY", 0.0, "6ab6d4192f812de64ef8e5cf27241de6040378c3ea8abf05ccbb873eae0718d2"),
+    ])
+    def test_saved_dataset_bytes_are_pinned(self, vocab, languages, tmp_path, regime, mix,
+                                            digest):
+        """20 samples of each regime at seed 3 keep their pinned JSONL bytes."""
+        path = tmp_path / "d.jsonl"
+        corpus.save_jsonl(corpus.build_dataset(20, mix, regime, 3, vocab, languages), str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     @given(n=st.integers(1, 12), regime=st.sampled_from(sorted(corpus.REGIME_LANGS)),
            mix=st.floats(0.0, 1.0), seed=st.integers(0, 2**64))
@@ -243,7 +261,7 @@ class TestBuildDataset:
            mix=st.floats(0.0, 1.0), seed=st.integers(0, 2**64))
     def test_prompt_and_languages_follow_the_text(self, tmp_path_factory, vocab, languages, n,
                                                   regime, mix, seed):
-        words = {lang.id: lang.words() for lang in languages}
+        words = {lang: corpus.words(lex) for lang, lex in languages.items()}
         every_word = set().union(*words.values())
         samples = corpus.build_dataset(n, mix, regime, seed, vocab, languages)
         path = tmp_path_factory.getbasetemp() / "follow_the_text.jsonl"
@@ -284,3 +302,11 @@ class TestBuildDataset:
     def test_malformed_row_rejected(self, malformed_dataset, vocab, languages):
         with pytest.raises(corpus.CorpusError):
             corpus.load_jsonl(malformed_dataset, vocab, languages)
+
+    def test_repeated_id_rejected(self, vocab, languages, tmp_path):
+        """A row whose id an earlier row has is refused, though each row is well formed."""
+        path = tmp_path / "d.jsonl"
+        samples = corpus.build_dataset(3, 0.0, "NATIVE", 2, vocab, languages)
+        corpus.save_jsonl(samples + samples[1:2], str(path))
+        with pytest.raises(corpus.CorpusError, match=samples[1].id):
+            corpus.load_jsonl(str(path), vocab, languages)

@@ -337,28 +337,28 @@ class TestExtractAnswer:
             [corpus.THINK_END] * separator + vocab.tokenize(text) + [corpus.EOS])
 
     def test_well_formed(self, vocab, languages):
-        pivot, _ = languages
+        pivot = languages["PIVOT"]
         res = self.result_from_text(vocab, "the answer is -42")
         assert read_answer(res, pivot, vocab) == -42
 
     def test_wrong_language_phrase(self, vocab, languages):
-        pivot, target = languages
+        pivot, target = languages["PIVOT"], languages["TARGET"]
         res = self.result_from_text(vocab, "the answer is 7")
         assert read_answer(res, target, vocab) is None
 
     def test_trailing_garbage(self, vocab, languages):
-        pivot, _ = languages
+        pivot = languages["PIVOT"]
         res = self.result_from_text(vocab, "the answer is 7 step")
         assert read_answer(res, pivot, vocab) is None
 
     def test_separator_missing_is_none(self, vocab, languages):
-        pivot, _ = languages
+        pivot = languages["PIVOT"]
         res = self.result_from_text(vocab, "the answer is 7", separator=False)
         assert res.terminated == "SEPARATOR_MISSING"
         assert read_answer(res, pivot, vocab) is None
 
     def test_empty_answer(self, vocab, languages):
-        pivot, _ = languages
+        pivot = languages["PIVOT"]
         res = self.result_from_text(vocab, "")
         assert read_answer(res, pivot, vocab) is None
 
@@ -368,10 +368,11 @@ class TestExtractAnswer:
            separator=st.booleans())
     def test_matches_the_reference(self, vocab, languages, which, phrase, cut, tail, separator):
         """On any answer segment, `score`'s reading equals `oracles.extract_answer`."""
-        lang, other = languages[which], languages[1 - which]
-        words = lang.lexicon["answer_phrase"].split()
+        pivot, target = languages["PIVOT"], languages["TARGET"]
+        lang, other = (pivot, target) if which == 0 else (target, pivot)
+        words = lang["answer_phrase"].split()
         head = {"full": words, "partial": words[:cut],
-                "other": other.lexicon["answer_phrase"].split()}[phrase]
+                "other": other["answer_phrase"].split()}[phrase]
         res = evaluate.GenerationResult([corpus.THINK_END] * separator
                                         + vocab.tokenize(" ".join(head)) + tail + [corpus.EOS])
         assert read_answer(res, lang, vocab) == oracles.extract_answer(res, lang, vocab)
@@ -379,23 +380,23 @@ class TestExtractAnswer:
 
 class TestConformance:
     def test_pure_pivot_cot(self, vocab, languages):
-        pivot, _ = languages
+        pivot = languages["PIVOT"]
         toks = vocab.tokenize("step 1 : 3 add 4 = 7 ;")
         assert evaluate.conformance(toks, pivot, vocab) == 1.0
 
     def test_mixed_cot(self, vocab, languages):
-        pivot, target = languages
+        pivot, target = languages["PIVOT"], languages["TARGET"]
         toks = vocab.tokenize("step pasi add rem")
         assert evaluate.conformance(toks, pivot, vocab) == 0.5
         assert evaluate.conformance(toks, target, vocab) == 0.5
 
     def test_digits_do_not_count(self, vocab, languages):
-        pivot, _ = languages
+        pivot = languages["PIVOT"]
         toks = vocab.tokenize("1 2 3")
         assert evaluate.conformance(toks, pivot, vocab) == 0.0
 
     def test_empty_is_zero(self, vocab, languages):
-        pivot, _ = languages
+        pivot = languages["PIVOT"]
         assert evaluate.conformance([], pivot, vocab) == 0.0
 
 
