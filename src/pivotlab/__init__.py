@@ -6,6 +6,7 @@ hand-written gradients, segment-masked training, and analysis probes
 """
 
 import contextlib
+import json
 import os
 
 # One BLAS thread, set before any submodule imports numpy: training runs its
@@ -29,3 +30,19 @@ def atomic_open(path: str, mode: str = "w", **kwargs):
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
+
+
+def read_jsonl(path: str, error: type):
+    """(line number, object) of each non-blank line of a JSON-lines file. A line that is
+    not UTF-8, not JSON or not a JSON object raises `error`, naming the file and the line."""
+    with open(path, "rb") as fh:
+        for n, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line.decode("utf-8"))
+            except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+                raise error(f"{path} line {n} is not UTF-8 JSON: {exc}") from None
+            if not isinstance(obj, dict):
+                raise error(f"{path} line {n} is not a JSON object")
+            yield n, obj

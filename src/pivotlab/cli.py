@@ -1,9 +1,11 @@
 """Command-line entry point wiring corpus -> train -> eval -> analysis.
 
-All commands are deterministic given (config, seed): reports are JSON with
-sorted keys, datasets are JSONL, curves are CSV. Each artifact gets a sidecar
-<name>.meta.json carrying {config_hash, seed, tool_version} plus a timestamp;
-the artifacts themselves are timestamp-free so reruns are byte-identical.
+The CLI names the files, checks the config, writes the reports and maps exception
+types to exit codes. Datasets, checkpoints, training logs and eval records are read and
+written by the modules that own their formats. All commands are deterministic given
+(config, seed): reports are JSON with sorted keys. Each artifact gets a sidecar
+<name>.meta.json carrying {config_hash, seed, tool_version} plus a timestamp; the
+artifacts themselves are timestamp-free so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -164,14 +166,6 @@ def _write_sidecar(path: str, cfg: dict) -> None:
         fh.write("\n")
 
 
-def _write_lines(lines, path: str, cfg: dict) -> None:
-    """Text artifact of one line per item (JSONL records, CSV rows)."""
-    with atomic_open(path, encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line + "\n")
-    _write_sidecar(path, cfg)
-
-
 def _save(save, obj, path: str, cfg: dict) -> None:
     """Artifact written by `save(obj, path)`, plus its sidecar."""
     save(obj, path)
@@ -208,13 +202,7 @@ def _build(cfg: dict, n: int, mix: float, regime: str, seed: int):
 
 
 def _load_dataset(path: str) -> list:
-    _require(path)
-    try:
-        return corpus.load_jsonl(path, VOCAB, LANGUAGES)
-    except (UnicodeDecodeError, json.JSONDecodeError, KeyError) as exc:
-        raise CliError(f"malformed dataset {path}: {exc}", EXIT_BAD_CONFIG)
-    except corpus.CorpusError as exc:
-        raise CliError(f"bad dataset {path}: {exc}", EXIT_BAD_DATA)
+    return corpus.load_jsonl(_require(path), VOCAB, LANGUAGES)
 
 
 def _paired_items(cfg: dict, n: int, seed: int) -> list:
@@ -267,7 +255,7 @@ def _eval(cfg: dict, ckpt, testset, mode: str, cot_lang: str | None, records_pat
     default to each item's own trace language. Writes the records and the report."""
     gcfg = evaluate.GenConfig(**{**cfg["eval"], "mode": mode}, seed=cfg["seed"])
     report, records = evaluate.score(ckpt, testset, gcfg, VOCAB, LANGUAGES, cot_lang)
-    _write_lines((json.dumps(r, sort_keys=True) for r in records), records_path, cfg)
+    _save(evaluate.save_records, records, records_path, cfg)
     write_json(report, report_path, cfg)
     return report, records
 
@@ -321,43 +309,18 @@ def cmd_eval(args, cfg: dict, out: str) -> None:
 def cmd_retrieval(args, cfg: dict, out: str) -> None:
     report = _retrieval(cfg, _load_checkpoint(args.ckpt),
                         args.scope or cfg["analysis"]["scope"], os.path.join(out, "retrieval.json"))
-    _write_lines(["layer,accuracy"] + [f"{layer},{acc!r}" for layer, acc
-                                       in enumerate(report["per_layer_accuracy"])],
-                 os.path.join(out, "retrieval.csv"), cfg)
     print(f"best layer {report['best_layer']} accuracy {report['best_accuracy']:.4f}")
 
 
 def cmd_delta(args, cfg: dict, out: str) -> None:
     report = _delta(cfg, _load_checkpoint(args.ckpt_a), _load_checkpoint(args.ckpt_b),
                     os.path.join(out, "delta.json"))
-    _write_lines(["path,delta"] + [f"{path},{val!r}" for path, val
-                                   in sorted(report["per_path"].items())],
-                 os.path.join(out, "delta.csv"), cfg)
     print(f"grand total {report['grand_total']:.6e}")
 
 
-def _load_records(path: str) -> list:
-    """Per-item eval records; each needs a string `id` and a boolean `correct`."""
-    _require(path)
-    records = []
-    with open(path, "rb") as fh:
-        for n, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise CliError(f"{path} line {n} is not UTF-8 JSON: {exc}", EXIT_BAD_DATA)
-            if not (isinstance(rec, dict) and isinstance(rec.get("id"), str)
-                    and isinstance(rec.get("correct"), bool)):
-                raise CliError(f"{path} line {n}: a record needs a string id and a boolean "
-                               "correct", EXIT_BAD_DATA)
-            records.append(rec)
-    return records
-
-
 def cmd_correction(args, cfg: dict, out: str) -> None:
-    matrix = _correction(cfg, _load_records(args.base_records), _load_records(args.new_records),
+    matrix = _correction(cfg, evaluate.load_records(_require(args.base_records)),
+                         evaluate.load_records(_require(args.new_records)),
                          os.path.join(out, "correction.json"))
     rates = matrix["rates"]
     print(f"ic {rates['ic']:.4f} ci {rates['ci']:.4f}")

@@ -17,7 +17,7 @@ import re
 from array import array
 from dataclasses import dataclass
 
-from . import atomic_open
+from . import atomic_open, read_jsonl
 
 # The language of each segment (question, trace, answer) under each regime.
 REGIME_LANGS = {
@@ -64,9 +64,7 @@ def _apply_op(value: int, op: str, operand: int) -> int:
         return value + operand
     if op == "SUB":
         return value - operand
-    if op == "MUL":
-        return value * operand
-    raise CorpusError(f"unknown op {op!r}")
+    return value * operand  # op is "MUL", the last of OPS
 
 
 @dataclass
@@ -119,8 +117,6 @@ class Vocab:
     def __init__(self, word_to_id: dict):
         self.word_to_id = dict(word_to_id)
         self.id_to_word = {i: w for w, i in self.word_to_id.items()}
-        if len(self.id_to_word) != len(self.word_to_id):
-            raise CorpusError("vocab is not bijective")
 
     def __len__(self) -> int:
         return len(self.word_to_id)
@@ -306,22 +302,17 @@ def save_jsonl(samples, path: str) -> None:
 
 
 def load_jsonl(path: str, vocab: Vocab, languages) -> list:
-    """Samples of a JSONL file. A row is rejected unless its id is new, its languages are its
-    regime's, each segment's lexical words are in its language, and `answer_value` reads its
-    answer."""
+    """Samples of a JSONL file. A row is rejected, naming the file and the line, unless its
+    fields are strings, its id is new, its languages are its regime's, each segment's lexical
+    words are in its language, and `answer_value` reads its answer."""
     lexical = {w for w, i in vocab.word_to_id.items() if i >= FIRST_WORD}
     foreign = {lang: lexical - words(lex) for lang, lex in languages.items()}
     samples = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            if not isinstance(obj, dict):
-                raise CorpusError("a dataset row must be a JSON object")
-            sid, regime, q, c, a, *stored = row = [obj[k] for k in ROW_KEYS]
+    for n, obj in read_jsonl(path, CorpusError):
+        try:
+            sid, regime, q, c, a, *stored = row = [obj.get(k) for k in ROW_KEYS]
             if not all(isinstance(v, str) for v in row):
-                raise CorpusError(f"row {sid!r}: every field must be a string")
+                raise CorpusError(f"a row needs a string for each of {', '.join(ROW_KEYS)}")
             if sid in samples:
                 raise CorpusError(f"sample {sid}: the id repeats")
             if tuple(stored) != REGIME_LANGS.get(regime):
@@ -334,5 +325,7 @@ def load_jsonl(path: str, vocab: Vocab, languages) -> list:
                     raise CorpusError(f"sample {sid}: {seg} words {sorted(stray)} are not {lang}")
             if answer_value(a, languages[stored[2]]) is None:
                 raise CorpusError(f"sample {sid}: answer {a!r} is not a {stored[2]} answer")
-            samples[sid] = s
+        except CorpusError as exc:
+            raise CorpusError(f"{path} line {n}: {exc}") from None
+        samples[sid] = s
     return list(samples.values())

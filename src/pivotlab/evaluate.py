@@ -1,14 +1,15 @@
-"""Decoding, scoring, and correction-rate matrices."""
+"""Decoding, scoring, per-item records, and correction-rate matrices."""
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import corpus, model
+from . import atomic_open, corpus, model, read_jsonl
 from .corpus import EOS, THINK_END
 
 
@@ -198,6 +199,24 @@ def _summarize(records) -> dict:
     out = agg(records)
     out["by_regime"] = {reg: agg([r for r in records if r["regime"] == reg]) for reg in regimes}
     return out
+
+
+def save_records(records, path: str) -> None:
+    """Per-item records as JSON lines, each object's keys sorted."""
+    with atomic_open(path, encoding="utf-8") as fh:
+        for r in records:
+            fh.write(json.dumps(r, sort_keys=True) + "\n")
+
+
+def load_records(path: str) -> list:
+    """Per-item records of a JSON-lines file; each needs a string `id` and a boolean
+    `correct`, the two fields `correction_matrix` reads."""
+    records = []
+    for n, rec in read_jsonl(path, EvalError):
+        if not (isinstance(rec.get("id"), str) and isinstance(rec.get("correct"), bool)):
+            raise EvalError(f"{path} line {n}: a record needs a string id and a boolean correct")
+        records.append(rec)
+    return records
 
 
 def correction_matrix(base_records, new_records) -> dict:

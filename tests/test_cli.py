@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pivotlab
-from pivotlab import cli, corpus, model, train
+from pivotlab import cli, corpus, evaluate, model, train
 
 
 TINY_CFG = {
@@ -228,12 +228,14 @@ def repeated_id_dataset(tmp_path, vocab, languages):
     return str(path)
 
 
-def _refused_as_bad_data(rc, capsys, out):
-    """Exit 5, one JSON stderr line with no traceback, and nothing under `out`."""
+def _refused_as_bad_data(rc, capsys, out) -> dict:
+    """Exit 5, one JSON stderr line with no traceback, and nothing under `out`; returns the
+    error line."""
     assert rc == cli.EXIT_BAD_DATA
     error = _error_line(capsys)
     assert error["exit_code"] == cli.EXIT_BAD_DATA and "trace" not in error
     assert not out.exists() or not any(out.iterdir())
+    return error
 
 
 class TestTrainCommand:
@@ -259,7 +261,7 @@ class TestTrainCommand:
         bad.write_text("{not json\n")
         rc = cli.main(["train", "--config", cfg_path, "--out", str(tmp_path / "t"),
                        "--data", str(bad)])
-        assert rc == cli.EXIT_BAD_CONFIG
+        assert rc == cli.EXIT_BAD_DATA
 
     def test_repeated_sample_id(self, tmp_path, cfg_path, repeated_id_dataset, capsys):
         out = tmp_path / "t"
@@ -268,13 +270,13 @@ class TestTrainCommand:
         _refused_as_bad_data(rc, capsys, out)
 
     def test_undecodable_dataset(self, tmp_path, cfg_path, capsys):
-        # a dataset that is not UTF-8 exits 3, like a line that is not JSON
+        # a dataset that is not UTF-8 exits 5, like a line that is not JSON
         bad = tmp_path / "bad.jsonl"
         bad.write_bytes(b"\xff\xfe" + json.dumps({"id": "x"}).encode() + b"\n")
         rc = cli.main(["train", "--config", cfg_path, "--out", str(tmp_path / "t"),
                        "--data", str(bad)])
-        assert rc == cli.EXIT_BAD_CONFIG
-        assert _error_line(capsys)["exit_code"] == cli.EXIT_BAD_CONFIG
+        assert rc == cli.EXIT_BAD_DATA
+        assert _error_line(capsys)["exit_code"] == cli.EXIT_BAD_DATA
 
     def test_over_length_sample(self, tmp_path, cfg_path):
         cfg = json.loads(json.dumps(TINY_CFG))
@@ -588,7 +590,8 @@ class TestAtomicWrites:
             "vocab": vocab.save,
             "jsonl": lambda p: corpus.save_jsonl(samples, p),
             "csv": lambda p: train.write_log_csv(rows, p),
-            "lines": lambda p: cli._write_lines(["a", "b", "c"], p, cfg),
+            "records": lambda p: evaluate.save_records(
+                [{"id": i, "correct": True} for i in "abc"], p),
             "json": lambda p: cli.write_json({"a": [1, 2, 3]}, p, cfg),
             "sidecar": lambda p: cli._write_sidecar(p[:-len(".meta.json")], cfg),
         }
@@ -629,9 +632,7 @@ class TestAnalysisCommands:
         rep = json.loads((out / "retrieval.json").read_text())
         assert len(rep["per_layer_accuracy"]) == 3  # n_layers + 1
         assert rep["n"] == 4
-        csv_lines = (out / "retrieval.csv").read_text().splitlines()
-        assert csv_lines[0] == "layer,accuracy"
-        assert len(csv_lines) == 4
+        assert not [name for name in os.listdir(out) if name.endswith(".csv")]
 
     def test_delta(self, workspace):
         out = workspace["tmp"] / "delta"
@@ -641,6 +642,7 @@ class TestAnalysisCommands:
         rep = json.loads((out / "delta.json").read_text())
         assert rep["grand_total"] == 0.0
         assert "L0.att_q" in rep["per_path"]
+        assert not [name for name in os.listdir(out) if name.endswith(".csv")]
 
     def test_correction(self, workspace):
         tmp = workspace["tmp"]
@@ -701,6 +703,47 @@ class TestAnalysisCommands:
                        "--ckpt-b", _save_init_ckpt(tmp_path / "init.ckpt")])
         assert rc == cli.EXIT_BAD_DATA
         assert _error_line(capsys)["exit_code"] == cli.EXIT_BAD_DATA
+
+
+# One way each to break a good line of a JSON-lines input. A dataset row needs "cot" and
+# a record needs "correct", so "missing_key" drops both.
+JSONL_FAULTS = {
+    "not_utf8": lambda good: b"\xff\xfe" + good,
+    "not_json": lambda good: b"{not json",
+    "json_array": lambda good: b'["a", true]',
+    "missing_key": lambda good: json.dumps(
+        {k: v for k, v in json.loads(good).items() if k not in ("cot", "correct")}).encode(),
+}
+
+
+class TestJsonLinesInputs:
+    """The same fault in any JSON-lines input file exits 5, naming the file and the line."""
+
+    @pytest.mark.parametrize("fault", sorted(JSONL_FAULTS))
+    @pytest.mark.parametrize("flag", ["--data", "--testset", "--base-records",
+                                      "--new-records"])
+    def test_fault_exits_5(self, tmp_path, cfg_path, vocab, languages, capsys, flag, fault):
+        data = tmp_path / "data.jsonl"
+        corpus.save_jsonl([corpus.make_sample(corpus.gen_problem(i), "PIVOTED", f"row-{i}",
+                                              vocab, languages) for i in range(2)], str(data))
+        records = tmp_path / "records.jsonl"
+        evaluate.save_records([{"id": "a", "correct": True}, {"id": "b", "correct": False}],
+                              str(records))
+        good = data if flag in ("--data", "--testset") else records
+        first, second = good.read_bytes().splitlines()
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(first + b"\n" + JSONL_FAULTS[fault](second) + b"\n")
+        ckpt = _save_init_ckpt(tmp_path / "init.ckpt")
+        command = {"--data": ["train", "--data", bad],
+                   "--testset": ["eval", "--ckpt", ckpt, "--testset", bad],
+                   "--base-records": ["correction", "--base-records", bad,
+                                      "--new-records", records],
+                   "--new-records": ["correction", "--base-records", records,
+                                     "--new-records", bad]}[flag]
+        out = tmp_path / "out"
+        rc = cli.main([*map(str, command), "--config", cfg_path, "--out", str(out)])
+        error = _refused_as_bad_data(rc, capsys, out)
+        assert f"{bad} line 2" in error["message"], error["message"]
 
 
 class TestThreadEnv:

@@ -1,11 +1,13 @@
 import hashlib
 import json
+import re
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+import pivotlab
 from pivotlab import corpus
 
 VOCAB = corpus.build_vocab(corpus.default_languages())
@@ -299,8 +301,21 @@ class TestBuildDataset:
             assert set(obj) == {"id", "regime", "question", "cot", "answer",
                                 "question_lang", "cot_lang", "answer_lang"}
 
+    def test_crlf_line_ends_load_the_same(self, vocab, languages, tmp_path):
+        path = tmp_path / "d.jsonl"
+        samples = corpus.build_dataset(3, 1.0, "PIVOTED", 2, vocab, languages)
+        corpus.save_jsonl(samples, str(path))
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert corpus.load_jsonl(str(path), vocab, languages) == samples
+
+    def test_read_jsonl_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(b'\n{"a": 1}\n  \r\n\n{"b": 2}\n\n')
+        assert list(pivotlab.read_jsonl(str(path), corpus.CorpusError)) == [
+            (2, {"a": 1}), (5, {"b": 2})]
+
     def test_malformed_row_rejected(self, malformed_dataset, vocab, languages):
-        with pytest.raises(corpus.CorpusError):
+        with pytest.raises(corpus.CorpusError, match=re.escape(f"{malformed_dataset} line 1")):
             corpus.load_jsonl(malformed_dataset, vocab, languages)
 
     def test_repeated_id_rejected(self, vocab, languages, tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -437,6 +438,19 @@ class TestScore:
             assert set(r) == {"id", "gold", "predicted", "correct", "terminated",
                               "conformance", "regime"}
             assert r["terminated"] in {"EOS", "SEPARATOR_MISSING", "LENGTH"}
+
+    def test_records_round_trip(self, tiny_ckpt, vocab, languages, tmp_path):
+        """Saved records read back as the records `score` returned, one sorted-key JSON
+        object per line."""
+        samples = [corpus.make_sample(corpus.gen_problem(i, max_steps=2), "PIVOTED",
+                                      f"r-{i:03d}", vocab, languages) for i in range(6)]
+        cfg = evaluate.GenConfig(mode="sample", seed=3, max_new_tokens=24)
+        _, records = evaluate.score(tiny_ckpt, samples, cfg, vocab, languages)
+        path = tmp_path / "records.jsonl"
+        evaluate.save_records(records, str(path))
+        assert evaluate.load_records(str(path)) == records
+        assert path.read_text().splitlines() == [json.dumps(r, sort_keys=True)
+                                                 for r in records]
 
     def test_empty_testset_rejected(self, tiny_ckpt, vocab, languages):
         with pytest.raises(evaluate.EvalError):
